@@ -60,14 +60,10 @@ func Execute(cfg sim.Config, p Parallelism) (*sim.Result, error) {
 	return res.Clone(), nil
 }
 
-// Runner materializes Specs into engine runs. It is stateless; the
-// zero value is ready to use.
-type Runner struct{}
-
 // Run materializes the spec into a sim.Config, executes it through
 // Execute, and returns the unified report.
-func (Runner) Run(sp Spec) (*Report, error) {
-	// The runner reports its own stages around the engine's: the spec
+func Run(sp Spec) (*Report, error) {
+	// Run reports its own stages around the engine's: the spec
 	// materialization (topology + protocol stack + fault layer) counts
 	// as setup, the outcome evaluation as decode. The engine reports
 	// its internal setup/rounds split through the same tracer.
@@ -76,13 +72,7 @@ func (Runner) Run(sp Spec) (*Report, error) {
 	if tr != nil {
 		t0 = time.Now()
 	}
-	if sp.N <= 0 {
-		return nil, fmt.Errorf("scenario: n=%d must be positive", sp.N)
-	}
-	if _, err := sp.topologyMode(); err != nil {
-		return nil, err
-	}
-	if err := sp.Fault.validate(sp); err != nil {
+	if err := sp.check(); err != nil {
 		return nil, err
 	}
 	sys, err := materialize(sp)
@@ -93,10 +83,6 @@ func (Runner) Run(sp Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	slack := sp.RoundSlack
-	if slack <= 0 {
-		slack = defaultRoundSlack
-	}
 	if tr != nil {
 		tr.StageDuration(obs.StageSetup, time.Since(t0))
 	}
@@ -105,7 +91,7 @@ func (Runner) Run(sp Spec) (*Report, error) {
 		PartLabeler: partLabelerOf(sys.ps),
 		Fault:       fault,
 		Byzantine:   sys.byz,
-		MaxRounds:   sys.schedule + slack,
+		MaxRounds:   sys.schedule + slackOf(sp),
 		SinglePort:  sys.singlePort,
 		Observer:    sp.Observer,
 		Tracer:      tr,
@@ -117,16 +103,7 @@ func (Runner) Run(sp Spec) (*Report, error) {
 	if tr != nil {
 		t1 = time.Now()
 	}
-	rep := &Report{
-		Scenario:  sp.Name,
-		Problem:   sp.Problem,
-		Algorithm: sp.Algorithm,
-		Port:      sp.Port,
-		N:         sp.N,
-		T:         sp.T,
-		Metrics:   toMetrics(res),
-		Crashed:   res.Crashed.Elements(),
-	}
+	rep := newReport(sp, toMetrics(res), res.Crashed)
 	sys.finish(res, rep)
 	if tr != nil {
 		tr.StageDuration(obs.StageDecode, time.Since(t1))
@@ -134,8 +111,147 @@ func (Runner) Run(sp Spec) (*Report, error) {
 	return rep, nil
 }
 
-// Run executes the spec on the default Runner.
-func Run(sp Spec) (*Report, error) { return Runner{}.Run(sp) }
+// check holds Run's preconditions in the order Run reports them: a
+// positive n, a known topology family, a valid fault model, then the
+// per-problem input length. ExecuteBatch routes through it too, so a
+// spec Run would reject never slices and fails with Run's own error.
+func (sp Spec) check() error {
+	if sp.N <= 0 {
+		return fmt.Errorf("scenario: n=%d must be positive", sp.N)
+	}
+	if _, err := sp.topologyMode(); err != nil {
+		return err
+	}
+	if err := sp.Fault.validate(sp); err != nil {
+		return err
+	}
+	var what string
+	var got int
+	switch sp.Problem {
+	case Consensus, AlmostEverywhere, SpreadCommonValue:
+		what, got = "inputs", len(sp.BoolInputs)
+	case MajorityVote:
+		what, got = "votes", len(sp.BoolInputs)
+	case Gossip:
+		what, got = "rumors", len(sp.Rumors)
+	case ByzantineConsensus:
+		what, got = "inputs", len(sp.Values)
+	default:
+		return nil
+	}
+	if got != sp.N {
+		return fmt.Errorf("scenario: %d %s for n=%d", got, what, sp.N)
+	}
+	return nil
+}
+
+// slackOf resolves the effective round slack of a spec.
+func slackOf(sp Spec) int {
+	if sp.RoundSlack > 0 {
+		return sp.RoundSlack
+	}
+	return defaultRoundSlack
+}
+
+// newReport fills the head every report shares — the spec's identity,
+// the run's metrics and its crash list — for the outcome judges to
+// complete.
+func newReport(sp Spec, m Metrics, crashed *bitset.Set) *Report {
+	return &Report{
+		Scenario:  sp.Name,
+		Problem:   sp.Problem,
+		Algorithm: sp.Algorithm,
+		Port:      sp.Port,
+		N:         sp.N,
+		T:         sp.T,
+		Metrics:   m,
+		Crashed:   crashed.Elements(),
+	}
+}
+
+// decisionOf encodes one node's consensus decision as a
+// ConsensusOutcome entry: 0 or 1, or -1 when it did not decide.
+func decisionOf(v, ok bool) int {
+	switch {
+	case !ok:
+		return -1
+	case v:
+		return 1
+	default:
+		return 0
+	}
+}
+
+// judgeConsensus applies the §2 conditions to one run's decisions
+// (decisionOf per node): every surviving node decided the same value
+// (agreement), and that value is some node's input (validity). It
+// takes decisions as the outcome's Decisions, with crashed nodes set
+// to -1.
+func judgeConsensus(decisions []int, inputs []bool, crashed *bitset.Set) *ConsensusOutcome {
+	out := &ConsensusOutcome{Decisions: decisions, Agreement: true, Validity: true}
+	any0, any1 := false, false
+	for _, in := range inputs {
+		if in {
+			any1 = true
+		} else {
+			any0 = true
+		}
+		if any0 && any1 {
+			break
+		}
+	}
+	first := -1
+	for i, d := range decisions {
+		if crashed.Contains(i) {
+			decisions[i] = -1
+			continue
+		}
+		if d < 0 {
+			out.Agreement = false
+			continue
+		}
+		if first < 0 {
+			first = d
+		} else if first != d {
+			out.Agreement = false
+		}
+		if (d == 1 && !any1) || (d == 0 && !any0) {
+			out.Validity = false
+		}
+	}
+	return out
+}
+
+// judgeGossip applies the §5 completeness condition to one run's
+// extant views (views[i] is surviving node i's rumor map, nil for
+// crashed nodes): every surviving view holds every surviving node's
+// rumor. A view holds all survivors exactly when it holds as many of
+// them as there are, so only a view short of all n nodes costs a
+// lookup per crashed node, and none costs one per node pair.
+func judgeGossip(views []map[int]uint64, crashed *bitset.Set) *GossipOutcome {
+	out := &GossipOutcome{Extant: views, Complete: true}
+	n := len(views)
+	var dead []int
+	for i, view := range views {
+		if len(view) == n || crashed.Contains(i) {
+			continue
+		}
+		if dead == nil {
+			dead = crashed.Elements()
+		}
+		held := len(view)
+		for _, j := range dead {
+			if _, ok := view[j]; ok {
+				held--
+			}
+		}
+		if held != n-len(dead) {
+			out.Complete = false
+			break
+		}
+	}
+	return out
+}
 
 func toMetrics(res *sim.Result) Metrics {
 	m := Metrics{
@@ -192,10 +308,8 @@ func materialize(sp Spec) (*system, error) {
 		return materializeCheckpointing(sp)
 	case ByzantineConsensus:
 		return materializeByzantine(sp)
-	case AlmostEverywhere:
-		return materializeAEA(sp)
-	case SpreadCommonValue:
-		return materializeSCV(sp)
+	case AlmostEverywhere, SpreadCommonValue:
+		return materializeSubroutine(sp)
 	case MajorityVote:
 		return materializeMajority(sp)
 	default:
@@ -256,9 +370,6 @@ type boolDecider interface {
 func materializeConsensus(sp Spec) (*system, error) {
 	n, t := sp.N, sp.T
 	inputs := sp.BoolInputs
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
 	ps := make([]sim.Protocol, n)
 	ds := make([]boolDecider, n)
 	sys := &system{ps: ps}
@@ -320,45 +431,11 @@ func materializeConsensus(sp Spec) (*system, error) {
 	}
 
 	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &ConsensusOutcome{
-			Decisions: make([]int, n),
-			Agreement: true,
-			Validity:  true,
+		decisions := make([]int, n)
+		for i, d := range ds {
+			decisions[i] = decisionOf(d.Decision())
 		}
-		any0, any1 := false, false
-		for _, in := range inputs {
-			if in {
-				any1 = true
-			} else {
-				any0 = true
-			}
-		}
-		first := -1
-		for i := 0; i < n; i++ {
-			out.Decisions[i] = -1
-			if res.Crashed.Contains(i) {
-				continue
-			}
-			v, ok := ds[i].Decision()
-			if !ok {
-				out.Agreement = false
-				continue
-			}
-			d := 0
-			if v {
-				d = 1
-			}
-			out.Decisions[i] = d
-			if first < 0 {
-				first = d
-			} else if first != d {
-				out.Agreement = false
-			}
-			if (d == 1 && !any1) || (d == 0 && !any0) {
-				out.Validity = false
-			}
-		}
-		rep.Consensus = out
+		rep.Consensus = judgeConsensus(decisions, inputs, res.Crashed)
 	}
 	return sys, nil
 }
@@ -366,9 +443,6 @@ func materializeConsensus(sp Spec) (*system, error) {
 func materializeGossip(sp Spec) (*system, error) {
 	n, t := sp.N, sp.T
 	rumors := sp.Rumors
-	if len(rumors) != n {
-		return nil, fmt.Errorf("scenario: %d rumors for n=%d", len(rumors), n)
-	}
 	ps := make([]sim.Protocol, n)
 	extants := make([]func() *gossip.ExtantSet, n)
 	sys := &system{ps: ps}
@@ -415,27 +489,17 @@ func materializeGossip(sp Spec) (*system, error) {
 	}
 
 	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &GossipOutcome{
-			Extant:   make([]map[int]uint64, n),
-			Complete: true,
-		}
-		for i := 0; i < n; i++ {
+		views := make([]map[int]uint64, n)
+		for i := range views {
 			if res.Crashed.Contains(i) {
 				continue
 			}
 			e := extants[i]()
 			view := make(map[int]uint64, e.Count())
 			e.Known().ForEach(func(j int) { view[j] = uint64(e.Rumor(j)) })
-			out.Extant[i] = view
-			for j := 0; j < n; j++ {
-				if !res.Crashed.Contains(j) {
-					if _, ok := view[j]; !ok {
-						out.Complete = false
-					}
-				}
-			}
+			views[i] = view
 		}
-		rep.Gossip = out
+		rep.Gossip = judgeGossip(views, res.Crashed)
 	}
 	return sys, nil
 }
@@ -521,9 +585,6 @@ type uintDecider interface {
 func materializeByzantine(sp Spec) (*system, error) {
 	n, t := sp.N, sp.T
 	inputs := sp.Values
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
 	mode, err := sp.topologyMode()
 	if err != nil {
 		return nil, err
@@ -596,28 +657,37 @@ func materializeByzantine(sp Spec) (*system, error) {
 	return sys, nil
 }
 
-func materializeAEA(sp Spec) (*system, error) {
+// subroutineDecider is the decision surface of the §3/§4 subroutines.
+type subroutineDecider interface {
+	Decided() (value, ok bool)
+}
+
+// materializeSubroutine builds the §3 AEA or the §4 SCV stack
+// standalone: both run on the t < n/5 expander and report who decided.
+func materializeSubroutine(sp Spec) (*system, error) {
 	n, t := sp.N, sp.T
-	inputs := sp.BoolInputs
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
 	top, err := sp.newTopology(n, t)
 	if err != nil {
 		return nil, err
 	}
 	ps := make([]sim.Protocol, n)
-	ms := make([]*consensus.AEA, n)
+	ds := make([]subroutineDecider, n)
 	sys := &system{ps: ps, little: top.L}
 	for i := 0; i < n; i++ {
-		ms[i] = consensus.NewAEA(i, top, inputs[i], 0, true)
-		ps[i] = ms[i]
-		sys.schedule = ms[i].ScheduleLength()
+		if sp.Problem == AlmostEverywhere {
+			m := consensus.NewAEA(i, top, sp.BoolInputs[i], 0, true)
+			ps[i], ds[i] = m, m
+			sys.schedule = m.ScheduleLength()
+		} else {
+			m := consensus.NewSCV(i, top, sp.BoolInputs[i], true, 0, true)
+			ps[i], ds[i] = m, m
+			sys.schedule = m.ScheduleLength()
+		}
 	}
 	sys.finish = func(res *sim.Result, rep *Report) {
 		out := &SubroutineOutcome{AllDecided: true}
-		for i, m := range ms {
-			_, ok := m.Decided()
+		for i, d := range ds {
+			_, ok := d.Decided()
 			if !ok {
 				out.AllDecided = false
 			}
@@ -633,9 +703,6 @@ func materializeAEA(sp Spec) (*system, error) {
 func materializeMajority(sp Spec) (*system, error) {
 	n, t := sp.N, sp.T
 	votes := sp.BoolInputs
-	if len(votes) != n {
-		return nil, fmt.Errorf("scenario: %d votes for n=%d", len(votes), n)
-	}
 	top, err := sp.newTopology(n, t)
 	if err != nil {
 		return nil, err
@@ -673,40 +740,6 @@ func materializeMajority(sp Spec) (*system, error) {
 			}
 		}
 		rep.Majority = out
-	}
-	return sys, nil
-}
-
-func materializeSCV(sp Spec) (*system, error) {
-	n, t := sp.N, sp.T
-	inputs := sp.BoolInputs
-	if len(inputs) != n {
-		return nil, fmt.Errorf("scenario: %d inputs for n=%d", len(inputs), n)
-	}
-	top, err := sp.newTopology(n, t)
-	if err != nil {
-		return nil, err
-	}
-	ps := make([]sim.Protocol, n)
-	ms := make([]*consensus.SCV, n)
-	sys := &system{ps: ps, little: top.L}
-	for i := 0; i < n; i++ {
-		ms[i] = consensus.NewSCV(i, top, inputs[i], true, 0, true)
-		ps[i] = ms[i]
-		sys.schedule = ms[i].ScheduleLength()
-	}
-	sys.finish = func(res *sim.Result, rep *Report) {
-		out := &SubroutineOutcome{AllDecided: true}
-		for i, m := range ms {
-			_, ok := m.Decided()
-			if !ok {
-				out.AllDecided = false
-			}
-			if ok && !res.Crashed.Contains(i) {
-				out.Deciders++
-			}
-		}
-		rep.Subroutine = out
 	}
 	return sys, nil
 }

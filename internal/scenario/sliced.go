@@ -14,65 +14,117 @@ import (
 // This file is the batch entry into the bit-sliced engine: ExecuteBatch
 // is the only caller of sim.Runtime.RunSliced in the repository, the
 // batch analogue of Execute. A batch of Specs is partitioned into
-// sliceable groups — same shape, so up to 64 of them ride one engine
-// run as lanes — and a scalar remainder that runs through the ordinary
-// Runner, so callers get one uniform call for "run all of these" and
-// the engine choice stays invisible: every report and error is
-// byte-for-byte what the scalar path would have produced for that Spec.
+// sliced groups — same shape, so up to 64 of them ride one engine run
+// as lanes — and a scalar remainder that runs through Run, so callers
+// get one uniform call for "run all of these" and the engine choice
+// stays invisible: every report and error is byte-for-byte what Run
+// would have produced for that Spec.
+//
+// The stack table (slicedStacks) is the one place a sliceable stack is
+// declared, and the only code here that knows which problem it runs:
+// how its lanes group, how a chunk's shared system is built, and how a
+// lane becomes a report. Routing applies Run's own precondition check
+// (Spec.check), so a spec Run would reject runs scalar and fails with
+// Run's error; specs with an Observer run scalar too, because the
+// sliced engine emits no per-message events.
+
+// slicedStack declares one bit-sliced protocol stack.
+type slicedStack struct {
+	problem   Problem
+	algorithm Algorithm
+	// minLanes is the smallest group worth a sliced run; smaller groups
+	// run scalar.
+	minLanes int
+	// group copies into k the spec fields, beyond groupKey's common
+	// ones, that the lanes of one sliced run must share.
+	group func(sp Spec, k *groupKey)
+	// build constructs a chunk's shared system for the given lane
+	// count. It calls faults once, with the stack's little-node count,
+	// to build the lanes' fault layers, and sizes the system for the
+	// largest link delay faults returns.
+	build func(shape Spec, lanes int, faults func(little int) (maxDelay int, err error)) (slicedSystem, laneFinish, error)
+}
+
+// slicedSystem is a lane-parallel system with a known schedule.
+type slicedSystem interface {
+	sim.SlicedSystem
+	ScheduleLength() int
+}
+
+// laneFinish is the sliced analogue of system.finish: it completes
+// lane's report from the finished run. It must run before the
+// Runtime's next sliced run — lane results alias arena memory.
+type laneFinish func(sp Spec, lane int, lr *sim.LaneResult, rep *Report)
+
+// slicedStacks covers the two natively lane-parallel systems: the
+// flooding comparator (consensus.SlicedFlooding) and the paper's
+// multi-port expander gossip (gossip.SlicedGossip). EXPERIMENTS.md
+// ("Performance model") documents the rule.
+var slicedStacks = []slicedStack{
+	{
+		// Flooding has no topology, so its seeds differ freely across
+		// lanes — that is what makes RunSeeds a single group.
+		problem:   Consensus,
+		algorithm: Flooding,
+		minLanes:  1,
+		group: func(sp Spec, k *groupKey) {
+			in := make([]byte, len(sp.BoolInputs))
+			for i, b := range sp.BoolInputs {
+				if b {
+					in[i] = 1
+				}
+			}
+			k.inputs = string(in)
+		},
+		build: buildSlicedFlooding,
+	},
+	{
+		// Gossip's overlays are derived from (seed, topology family,
+		// degree), so those fields join the key; its rumor values stay
+		// per-lane (first-write-wins updates make values
+		// behaviour-independent). A lone lane gains nothing from the
+		// word engine (its n² plane setup and n-word merges serve one
+		// replica), so the scalar path is both faster and trivially
+		// exact.
+		problem:   Gossip,
+		algorithm: GossipExpander,
+		minLanes:  2,
+		group: func(sp Spec, k *groupKey) {
+			k.seed = sp.Seed
+			k.topology = sp.Topology
+			k.implicit = sp.Implicit
+			k.degree = sp.Degree
+		},
+		build: buildSlicedGossip,
+	},
+}
+
+// stackOf is the stack lookup: the table entry that runs sp on the
+// sliced engine, or nil when sp runs scalar. A spec slices when it is a
+// multi-port run of a listed stack under a declarative fault model
+// (FaultModel.Declarative) with no Observer; adaptive adversaries and
+// the remaining protocol stacks keep the scalar engine.
+func stackOf(sp Spec) *slicedStack {
+	if sp.Port != MultiPort || !sp.Fault.Declarative() || sp.Observer != nil {
+		return nil
+	}
+	for i := range slicedStacks {
+		if st := &slicedStacks[i]; st.problem == sp.Problem && st.algorithm == sp.Algorithm {
+			return st
+		}
+	}
+	return nil
+}
 
 // sliceable reports whether a spec can run on the bit-sliced engine.
-// The sliced path covers the two natively lane-parallel systems — the
-// flooding comparator (consensus.SlicedFlooding) and the paper's
-// multi-port expander gossip (gossip.SlicedGossip) — under every
-// declarative fault model (FaultModel.Declarative); adaptive
-// adversaries and the remaining protocol stacks keep the scalar
-// engine. EXPERIMENTS.md ("Performance model") documents the rule.
-func sliceable(sp Spec) bool {
-	if !sp.Fault.Declarative() {
-		return false
-	}
-	switch {
-	case sp.Problem == Consensus && sp.Algorithm == Flooding && sp.Port == MultiPort:
-		return true
-	case sp.Problem == Gossip && sp.Algorithm == GossipExpander && sp.Port == MultiPort:
-		return true
-	default:
-		return false
-	}
-}
-
-// batchInputsOK checks the per-problem input-length precondition the
-// scalar materializers enforce; anything that fails runs scalar so the
-// caller sees the exact scalar error.
-func batchInputsOK(sp Spec) bool {
-	switch sp.Problem {
-	case Gossip:
-		return len(sp.Rumors) == sp.N
-	default:
-		return len(sp.BoolInputs) == sp.N
-	}
-}
-
-// slackOf resolves the effective round slack of a spec.
-func slackOf(sp Spec) int {
-	if sp.RoundSlack > 0 {
-		return sp.RoundSlack
-	}
-	return defaultRoundSlack
-}
+func sliceable(sp Spec) bool { return stackOf(sp) != nil }
 
 // groupKey identifies specs that may share one sliced run: the lanes
-// of a run share the system and the round budget; the fault model and
-// seed are per-lane wherever the system does not depend on them.
-// Flooding has no topology, so its seeds differ freely across lanes —
-// that is what makes RunSeeds a single group. Gossip's overlays are
-// derived from (seed, topology family, degree), so those fields join
-// the key; its rumor values stay per-lane (first-write-wins updates
-// make values behaviour-independent).
+// of a run share the stack, the size and the round budget, plus the
+// fields the stack's group function adds; the fault model and seed are
+// per-lane wherever the system does not depend on them.
 type groupKey struct {
-	problem     Problem
-	algorithm   Algorithm
-	port        PortModel
+	stack       *slicedStack
 	n, t, slack int
 	inputs      string
 	seed        uint64
@@ -81,37 +133,18 @@ type groupKey struct {
 	degree      int
 }
 
+// keyOf returns the group key of a sliceable spec.
 func keyOf(sp Spec) groupKey {
-	k := groupKey{
-		problem:   sp.Problem,
-		algorithm: sp.Algorithm,
-		port:      sp.Port,
-		n:         sp.N,
-		t:         sp.T,
-		slack:     slackOf(sp),
-	}
-	if sp.Problem == Gossip {
-		k.seed = sp.Seed
-		k.topology = sp.Topology
-		k.implicit = sp.Implicit
-		k.degree = sp.Degree
-		return k
-	}
-	in := make([]byte, len(sp.BoolInputs))
-	for i, b := range sp.BoolInputs {
-		if b {
-			in[i] = 1
-		}
-	}
-	k.inputs = string(in)
+	k := groupKey{stack: stackOf(sp), n: sp.N, t: sp.T, slack: slackOf(sp)}
+	k.stack.group(sp, &k)
 	return k
 }
 
 // RunSeeds runs one spec under many seeds — the multi-seed sweep and
 // benchmark path. Seeds that share the spec's shape ride the sliced
 // engine 64 to a machine word; the rest (non-sliceable specs, escaped
-// lanes) fall back to the scalar runner. reports[i] and errs[i] belong
-// to seeds[i]; exactly one of them is non-nil.
+// lanes) fall back to Run. reports[i] and errs[i] belong to seeds[i];
+// exactly one of them is non-nil.
 func RunSeeds(sp Spec, seeds []uint64) ([]*Report, []error) {
 	specs := make([]Spec, len(seeds))
 	for i, seed := range seeds {
@@ -123,9 +156,9 @@ func RunSeeds(sp Spec, seeds []uint64) ([]*Report, []error) {
 
 // ExecuteBatch runs a batch of specs, slicing where possible: sliceable
 // specs of the same shape are grouped into 64-lane sliced engine runs,
-// everything else runs through the scalar Runner. Results are returned
-// in input order and are identical — reports and errors both — to
-// running each spec individually through Run.
+// everything else runs through Run. Results are returned in input order
+// and are identical — reports and errors both — to running each spec
+// individually through Run.
 func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	reports := make([]*Report, len(sps))
 	errs := make([]error, len(sps))
@@ -134,10 +167,7 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	groups := make(map[groupKey][]int)
 	var order []groupKey
 	for i, sp := range sps {
-		// Anything that would fail Run's preconditions goes scalar so
-		// the caller sees the exact scalar error.
-		if !sliceable(sp) || sp.N <= 0 || !batchInputsOK(sp) ||
-			sp.Fault.validate(sp) != nil {
+		if !sliceable(sp) || sp.check() != nil {
 			scalar = append(scalar, i)
 			continue
 		}
@@ -152,11 +182,7 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 		rt := runtimes.Get().(*sim.Runtime)
 		for _, k := range order {
 			idx := groups[k]
-			if k.problem == Gossip && len(idx) < 2 {
-				// A gossip group needs a shared topology; a lone lane
-				// gains nothing from the word engine (its n² plane setup
-				// and n-word merges serve one replica), so the scalar
-				// path is both faster and trivially exact.
+			if len(idx) < k.stack.minLanes {
 				scalar = append(scalar, idx...)
 				continue
 			}
@@ -165,7 +191,7 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 				if end > len(idx) {
 					end = len(idx)
 				}
-				runSlicedChunk(rt, sps, idx[base:end], reports, errs)
+				runSlicedChunk(rt, k.stack, sps, idx[base:end], reports, errs)
 			}
 		}
 		runtimes.Put(rt)
@@ -175,7 +201,7 @@ func ExecuteBatch(sps []Spec) ([]*Report, []error) {
 	return reports, errs
 }
 
-// runScalar runs the given spec indices through the scalar Runner,
+// runScalar runs the given spec indices through Run,
 // fanned across GOMAXPROCS workers (each worker lands on its own
 // pooled Runtime via Execute). Runs are independent and deterministic,
 // so scheduling cannot change any result.
@@ -211,26 +237,16 @@ func runScalar(sps []Spec, idx []int, reports []*Report, errs []error) {
 	wg.Wait()
 }
 
-// runSlicedChunk executes up to 64 same-shape specs as the lanes of one
-// sliced engine run and materializes each lane into its spec's report.
-// Any failure to slice — a fault without a declarative crash plan, an
-// escaped lane, a topology that cannot be built — falls back to the
-// scalar runner for the affected specs, preserving exact scalar
-// results.
-func runSlicedChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, errs []error) {
-	if sps[idx[0]].Problem == Gossip {
-		runSlicedGossipChunk(rt, sps, idx, reports, errs)
-		return
-	}
-	fallback := func(lanes ...int) {
-		for _, lane := range lanes {
-			i := idx[lane]
+// runSlicedChunk executes up to 64 same-shape specs of stack st as the
+// lanes of one sliced engine run and finishes each lane into its spec's
+// report. Any failure to slice — a fault without a declarative crash
+// plan, an escaped lane, a topology that cannot be built — falls back
+// to Run for the affected specs, preserving exact scalar results.
+func runSlicedChunk(rt *sim.Runtime, st *slicedStack, sps []Spec, idx []int, reports []*Report, errs []error) {
+	fallback := func(specs []int) {
+		for _, i := range specs {
 			reports[i], errs[i] = Run(sps[i])
 		}
-	}
-	all := make([]int, len(idx))
-	for lane := range idx {
-		all[lane] = lane
 	}
 
 	shape := sps[idx[0]]
@@ -242,19 +258,25 @@ func runSlicedChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, e
 		t0 = time.Now()
 	}
 	faults := make([]sim.LinkFault, len(idx))
-	for lane, i := range idx {
-		sp := sps[i]
-		// Flooding has no expander overlay, so little = 0 — exactly the
-		// value Runner.Run passes for this stack.
-		f, err := sp.Fault.LinkFault(sp.N, sp.T, 0, sp.Seed)
-		if err != nil {
-			fallback(all...)
-			return
+	sys, finish, err := st.build(shape, len(idx), func(little int) (int, error) {
+		maxDelay := 0
+		for lane, i := range idx {
+			sp := sps[i]
+			f, err := sp.Fault.LinkFault(sp.N, sp.T, little, sp.Seed)
+			if err != nil {
+				return 0, err
+			}
+			faults[lane] = f
+			if lf, ok := f.(sim.LinkFilter); ok && lf.MaxDelay() > maxDelay {
+				maxDelay = lf.MaxDelay()
+			}
 		}
-		faults[lane] = f
+		return maxDelay, nil
+	})
+	if err != nil {
+		fallback(idx)
+		return
 	}
-
-	sys := consensus.NewSlicedFlooding(shape.N, shape.T, len(idx), shape.BoolInputs)
 	if tr != nil {
 		tr.StageDuration(obs.StageSetup, time.Since(t0))
 	}
@@ -268,20 +290,10 @@ func runSlicedChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, e
 	if err != nil {
 		// ErrNotSliceable and config errors: the scalar engine is the
 		// authority on what the caller should see.
-		fallback(all...)
+		fallback(idx)
 		return
 	}
 
-	any0, any1 := false, false
-	for _, in := range shape.BoolInputs {
-		if in {
-			any1 = true
-		} else {
-			any0 = true
-		}
-	}
-	// Reports must be materialized before the Runtime's next sliced run:
-	// the lane results alias arena memory.
 	var t1 time.Time
 	if tr != nil {
 		t1 = time.Now()
@@ -289,228 +301,110 @@ func runSlicedChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, e
 	var escaped []int
 	for lane, i := range idx {
 		lr := &res.Lanes[lane]
-		if lr.Escaped {
-			escaped = append(escaped, lane)
-			continue
-		}
-		if lr.Err != nil {
+		switch {
+		case lr.Escaped:
+			escaped = append(escaped, i)
+		case lr.Err != nil:
 			errs[i] = lr.Err
-			continue
+		default:
+			sp := sps[i]
+			rep := newReport(sp, Metrics{
+				Rounds:   lr.Metrics.Rounds,
+				Messages: lr.Metrics.Messages,
+				Bits:     lr.Metrics.Bits,
+			}, lr.Crashed)
+			finish(sp, lane, lr, rep)
+			reports[i] = rep
 		}
-		reports[i] = laneReport(sps[i], sys, lane, lr, any0, any1)
 	}
 	if tr != nil {
 		tr.StageDuration(obs.StageMerge, time.Since(t1))
 	}
-	fallback(escaped...)
+	fallback(escaped)
 }
 
-// runSlicedGossipChunk is runSlicedChunk's gossip arm: the lanes share
-// one expander topology (identical by group key) and one
-// gossip.SlicedGossip machine, with per-lane fault layers.
-func runSlicedGossipChunk(rt *sim.Runtime, sps []Spec, idx []int, reports []*Report, errs []error) {
-	fallback := func(lanes ...int) {
-		for _, lane := range lanes {
-			i := idx[lane]
-			reports[i], errs[i] = Run(sps[i])
+// buildSlicedFlooding builds a flooding chunk. Flooding has no expander
+// overlay, so its fault layers get little = 0 — exactly what Run passes
+// for this stack. Its lanes are judged by Run's consensus rules over
+// the lane's decision bits.
+func buildSlicedFlooding(shape Spec, lanes int, faults func(int) (int, error)) (slicedSystem, laneFinish, error) {
+	if _, err := faults(0); err != nil {
+		return nil, nil, err
+	}
+	sys := consensus.NewSlicedFlooding(shape.N, shape.T, lanes, shape.BoolInputs)
+	return sys, func(sp Spec, lane int, lr *sim.LaneResult, rep *Report) {
+		bit := uint64(1) << lane
+		decisions := make([]int, sp.N)
+		for i := range decisions {
+			decided, value := sys.DecisionLanes(i)
+			decisions[i] = decisionOf(value&bit != 0, decided&bit != 0)
 		}
-	}
-	all := make([]int, len(idx))
-	for lane := range idx {
-		all[lane] = lane
-	}
+		rep.Consensus = judgeConsensus(decisions, sp.BoolInputs, lr.Crashed)
+	}, nil
+}
 
-	shape := sps[idx[0]]
-	tr := shape.Tracer
-	var t0 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+// buildSlicedGossip builds a gossip chunk: the lanes share one expander
+// topology (identical by group key) and one gossip.SlicedGossip
+// machine, with per-lane fault layers. A lane's report carries the
+// per-part attribution the scalar PartLabeler would have recorded,
+// reconstructed from the per-round series, and extant views whose
+// rumor values come from the lane's inputs — first-write-wins makes
+// every copy of node j's pair equal to j's own rumor — judged by Run's
+// completeness rule.
+func buildSlicedGossip(shape Spec, lanes int, faults func(int) (int, error)) (slicedSystem, laneFinish, error) {
 	top, err := shape.newTopology(shape.N, shape.T)
 	if err != nil {
-		fallback(all...)
-		return
+		return nil, nil, err
 	}
-	faults := make([]sim.LinkFault, len(idx))
-	maxDelay := 0
-	for lane, i := range idx {
-		sp := sps[i]
-		f, err := sp.Fault.LinkFault(sp.N, sp.T, top.L, sp.Seed)
-		if err != nil {
-			fallback(all...)
-			return
-		}
-		faults[lane] = f
-		if lf, ok := f.(sim.LinkFilter); ok {
-			if d := lf.MaxDelay(); d > maxDelay {
-				maxDelay = d
-			}
-		}
-	}
-
-	sys, err := gossip.NewSlicedGossip(top, len(idx), maxDelay)
+	maxDelay, err := faults(top.L)
 	if err != nil {
-		fallback(all...)
-		return
+		return nil, nil, err
 	}
-	if tr != nil {
-		tr.StageDuration(obs.StageSetup, time.Since(t0))
-	}
-	res, err := rt.RunSliced(sim.SlicedConfig{
-		System:    sys,
-		Lanes:     len(idx),
-		MaxRounds: sys.ScheduleLength() + slackOf(shape),
-		Faults:    faults,
-		Tracer:    tr,
-	})
+	sys, err := gossip.NewSlicedGossip(top, lanes, maxDelay)
 	if err != nil {
-		fallback(all...)
-		return
+		return nil, nil, err
 	}
-
-	var t1 time.Time
-	if tr != nil {
-		t1 = time.Now()
-	}
-	var escaped []int
-	for lane, i := range idx {
-		lr := &res.Lanes[lane]
-		if lr.Escaped {
-			escaped = append(escaped, lane)
-			continue
-		}
-		if lr.Err != nil {
-			errs[i] = lr.Err
-			continue
-		}
-		reports[i] = gossipLaneReport(sps[i], sys, lane, lr)
-	}
-	if tr != nil {
-		tr.StageDuration(obs.StageMerge, time.Since(t1))
-	}
-	fallback(escaped...)
-}
-
-// laneReport mirrors Runner.Run's consensus finish for one lane: same
-// metrics mapping, same crash list, same agreement/validity rules over
-// the lane's decisions.
-func laneReport(sp Spec, sys *consensus.SlicedFlooding, lane int, lr *sim.LaneResult, any0, any1 bool) *Report {
-	rep := &Report{
-		Scenario:  sp.Name,
-		Problem:   sp.Problem,
-		Algorithm: sp.Algorithm,
-		Port:      sp.Port,
-		N:         sp.N,
-		T:         sp.T,
-		Metrics: Metrics{
-			Rounds:   lr.Metrics.Rounds,
-			Messages: lr.Metrics.Messages,
-			Bits:     lr.Metrics.Bits,
-		},
-		Crashed: lr.Crashed.Elements(),
-	}
-	bit := uint64(1) << lane
-	out := &ConsensusOutcome{
-		Decisions: make([]int, sp.N),
-		Agreement: true,
-		Validity:  true,
-	}
-	first := -1
-	for i := 0; i < sp.N; i++ {
-		out.Decisions[i] = -1
-		if lr.Crashed.Contains(i) {
-			continue
-		}
-		decided, value := sys.DecisionLanes(i)
-		if decided&bit == 0 {
-			out.Agreement = false
-			continue
-		}
-		d := 0
-		if value&bit != 0 {
-			d = 1
-		}
-		out.Decisions[i] = d
-		if first < 0 {
-			first = d
-		} else if first != d {
-			out.Agreement = false
-		}
-		if (d == 1 && !any1) || (d == 0 && !any0) {
-			out.Validity = false
-		}
-	}
-	rep.Consensus = out
-	return rep
-}
-
-// gossipLaneReport mirrors Runner.Run's gossip finish for one lane:
-// the same metrics (with the per-part attribution the scalar
-// PartLabeler would have recorded, reconstructed from the per-round
-// series), the same extant views (rumor values come from the lane's
-// inputs — first-write-wins makes every copy of node j's pair equal to
-// j's own rumor) and the same completeness rule.
-func gossipLaneReport(sp Spec, sys *gossip.SlicedGossip, lane int, lr *sim.LaneResult) *Report {
-	rep := &Report{
-		Scenario:  sp.Name,
-		Problem:   sp.Problem,
-		Algorithm: sp.Algorithm,
-		Port:      sp.Port,
-		N:         sp.N,
-		T:         sp.T,
-		Metrics: Metrics{
-			Rounds:   lr.Metrics.Rounds,
-			Messages: lr.Metrics.Messages,
-			Bits:     lr.Metrics.Bits,
-		},
-		Crashed: lr.Crashed.Elements(),
-	}
-	// The scalar engine labels a round's traffic with the schedule
-	// part at the accounting point; rounds without traffic contribute
-	// nothing, and a run with no labeled traffic leaves PerPart nil
-	// (toMetrics copies only non-empty maps).
-	var perPart map[string]int64
-	for r, c := range lr.Metrics.PerRoundMessages {
-		if c == 0 {
-			continue
-		}
-		if label := sys.PartAt(r); label != "" {
-			if perPart == nil {
-				perPart = make(map[string]int64)
+	return sys, func(sp Spec, lane int, lr *sim.LaneResult, rep *Report) {
+		// The scalar engine labels a round's traffic with the schedule
+		// part at the accounting point; rounds without traffic
+		// contribute nothing, and a run with no labeled traffic leaves
+		// PerPart nil (toMetrics copies only non-empty maps).
+		for r, c := range lr.Metrics.PerRoundMessages {
+			if c == 0 {
+				continue
 			}
-			perPart[label] += c
-		}
-	}
-	rep.Metrics.PerPart = perPart
-
-	bit := uint64(1) << lane
-	out := &GossipOutcome{
-		Extant:   make([]map[int]uint64, sp.N),
-		Complete: true,
-	}
-	for i := 0; i < sp.N; i++ {
-		if lr.Crashed.Contains(i) {
-			continue
-		}
-		// Pre-size the view to its exact cardinality: the views carry
-		// n entries each at full propagation, and letting the map grow
-		// incrementally costs more than the whole sliced run.
-		count := 0
-		for j := 0; j < sp.N; j++ {
-			if sys.Known(i, j)&bit != 0 {
-				count++
+			if label := sys.PartAt(r); label != "" {
+				if rep.Metrics.PerPart == nil {
+					rep.Metrics.PerPart = make(map[string]int64)
+				}
+				rep.Metrics.PerPart[label] += c
 			}
 		}
-		view := make(map[int]uint64, count)
-		for j := 0; j < sp.N; j++ {
-			if sys.Known(i, j)&bit != 0 {
-				view[j] = sp.Rumors[j]
-			} else if out.Complete && !lr.Crashed.Contains(j) {
-				out.Complete = false
+
+		bit := uint64(1) << lane
+		views := make([]map[int]uint64, sp.N)
+		for i := range views {
+			if lr.Crashed.Contains(i) {
+				continue
 			}
+			// Pre-size the view to its exact cardinality: the views
+			// carry n entries each at full propagation, and letting the
+			// map grow incrementally costs more than the whole sliced
+			// run.
+			count := 0
+			for j := 0; j < sp.N; j++ {
+				if sys.Known(i, j)&bit != 0 {
+					count++
+				}
+			}
+			view := make(map[int]uint64, count)
+			for j := 0; j < sp.N; j++ {
+				if sys.Known(i, j)&bit != 0 {
+					view[j] = sp.Rumors[j]
+				}
+			}
+			views[i] = view
 		}
-		out.Extant[i] = view
-	}
-	rep.Gossip = out
-	return rep
+		rep.Gossip = judgeGossip(views, lr.Crashed)
+	}, nil
 }

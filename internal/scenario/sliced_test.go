@@ -3,7 +3,12 @@ package scenario
 import (
 	"fmt"
 	"reflect"
+	"sync"
 	"testing"
+	"time"
+
+	"lineartime/internal/obs"
+	"lineartime/internal/sim"
 )
 
 // sameOutcome pins a batch result against its scalar counterpart:
@@ -22,7 +27,7 @@ func sameOutcome(t *testing.T, tag string, wantRep *Report, wantErr error, gotRe
 // TestExecuteBatchMatchesScalarAcrossRegistry runs every registry row —
 // protocol stacks, the E12 fault rows, the E13 chaos rows — under
 // several seeds through one mixed ExecuteBatch call and pins every
-// report byte-identical to the scalar Runner. Sliceable rows get the
+// report byte-identical to the scalar Run. Sliceable rows get the
 // full 64-seed lane width (the 64-for-1 oracle: one sliced run checks
 // a word of seeds at once); the rest keep a 3-seed spot check and take
 // the scalar fallback inside the same batch.
@@ -173,17 +178,112 @@ func TestRunSeedsSingleSeed(t *testing.T) {
 
 // TestExecuteBatchInvalidSpec: a spec that fails Run's preconditions
 // must surface Run's exact error from the batch, not a batch-specific
-// one.
+// one. A spec with an Observer must run scalar: the sliced engine emits
+// no per-message events, and the parallel engine refuses observers.
 func TestExecuteBatchInvalidSpec(t *testing.T) {
 	good := MustLookup("consensus/flooding").Spec(24, 4, 1)
-	bad := good
-	bad.Fault = FaultModel{Kind: DelayedLinks, Delay: -1}
-	reports, errs := ExecuteBatch([]Spec{good, bad})
-	if errs[0] != nil || reports[0] == nil {
-		t.Fatalf("good spec failed: %v", errs[0])
+	badDelay := good
+	badDelay.Fault = FaultModel{Kind: DelayedLinks, Delay: -1}
+	badTopology := good
+	badTopology.Topology = "bogus"
+	parallelObserver := good
+	parallelObserver.Observer = &messageCounter{}
+	parallelObserver.Exec = Parallel(2)
+	for _, bad := range []Spec{badDelay, badTopology, parallelObserver} {
+		reports, errs := ExecuteBatch([]Spec{good, bad})
+		if errs[0] != nil || reports[0] == nil {
+			t.Fatalf("good spec failed: %v", errs[0])
+		}
+		_, wantErr := Run(bad)
+		if wantErr == nil || errs[1] == nil || wantErr.Error() != errs[1].Error() {
+			t.Fatalf("bad spec error diverged: scalar %v, batch %v", wantErr, errs[1])
+		}
 	}
-	_, wantErr := Run(bad)
-	if wantErr == nil || errs[1] == nil || wantErr.Error() != errs[1].Error() {
-		t.Fatalf("bad spec error diverged: scalar %v, batch %v", wantErr, errs[1])
+
+	var scalar, batched messageCounter
+	observed := good
+	observed.Observer = &scalar
+	wantRep, wantErr := Run(observed)
+	observed.Observer = &batched
+	reports, errs := ExecuteBatch([]Spec{good, observed})
+	sameOutcome(t, "observer", wantRep, wantErr, reports[1], errs[1])
+	if scalar.messages == 0 || batched.messages != scalar.messages {
+		t.Fatalf("observer saw %d messages batched, %d scalar", batched.messages, scalar.messages)
+	}
+}
+
+// messageCounter is a sim.Observer that counts OnMessage events.
+type messageCounter struct{ messages int }
+
+func (c *messageCounter) OnMessage(int, sim.Envelope) { c.messages++ }
+func (c *messageCounter) OnCrash(int, sim.NodeID)     {}
+func (c *messageCounter) OnHalt(int, sim.NodeID)      {}
+
+// eventLog is an obs.RunTracer that records its events in order.
+type eventLog struct {
+	mu     sync.Mutex
+	events []string
+}
+
+func (l *eventLog) StageDuration(s obs.Stage, _ time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, s.String())
+}
+
+func (l *eventLog) RunDone(e obs.Engine, _ obs.Outcome, _ int, _ time.Duration) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.events = append(l.events, "done:"+e.String())
+}
+
+// TestExecuteBatchTracerContract pins what ExecuteBatch reports through
+// Spec.Tracer for both sliced stacks. A sliced chunk reports through
+// its first spec's tracer alone: the scenario setup, the engine's setup
+// and rounds, one sliced RunDone for the whole word, then the lane
+// merge. A singleton gossip group runs scalar, so its tracer sees Run's
+// stages and the sequential engine.
+func TestExecuteBatchTracerContract(t *testing.T) {
+	sliced := []string{"setup", "setup", "rounds", "done:sliced", "merge"}
+	scalar := []string{"setup", "setup", "rounds", "done:sequential", "decode"}
+	for _, name := range []string{"consensus/flooding", "gossip/expander"} {
+		t.Run(name, func(t *testing.T) {
+			base := MustLookup(name).Spec(40, 6, 1)
+			specs := make([]Spec, 8)
+			logs := make([]*eventLog, len(specs))
+			for i := range specs {
+				specs[i] = base
+				specs[i].Fault = FaultModel{Kind: CrashSchedule, Schedule: []CrashEvent{{Node: i, Round: 1, Keep: 1}}}
+				logs[i] = &eventLog{}
+				specs[i].Tracer = logs[i]
+			}
+			if !sliceable(base) {
+				t.Fatalf("%s must be sliceable", name)
+			}
+			_, errs := ExecuteBatch(specs)
+			for i, err := range errs {
+				if err != nil {
+					t.Fatalf("lane %d: %v", i, err)
+				}
+			}
+			if !reflect.DeepEqual(logs[0].events, sliced) {
+				t.Fatalf("chunk tracer saw %v, want %v", logs[0].events, sliced)
+			}
+			for i, l := range logs[1:] {
+				if len(l.events) != 0 {
+					t.Fatalf("lane %d tracer saw %v, want nothing", i+1, l.events)
+				}
+			}
+		})
+	}
+
+	one := MustLookup("gossip/expander").Spec(40, 6, 1)
+	log := &eventLog{}
+	one.Tracer = log
+	if _, errs := ExecuteBatch([]Spec{one}); errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if !reflect.DeepEqual(log.events, scalar) {
+		t.Fatalf("singleton gossip tracer saw %v, want %v", log.events, scalar)
 	}
 }
