@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"time"
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/graph"
@@ -106,20 +105,19 @@ type castState struct {
 	n         int
 	maxDeg    int
 	maxRounds int
-	round     int // current round, read by pool workers
 
 	alive  *bitset.Set // not yet crashed
 	active *bitset.Set // cast something this round
 	bits   *bitset.Set // the cast bit, meaningful where active
 
-	scratch   []int // neighbor regeneration buffer, cap ≥ MaxDegree
 	crashes   []crashEvent
 	nextCrash int
 	msgs      int64
 
-	// Per-worker state of the parallel engine: 64-aligned shard
-	// bounds (so two workers never write the same bitset word),
-	// per-worker neighbor scratch and message counters.
+	// Per-shard state (castpool.go): 64-aligned shard bounds (so two
+	// workers never write the same bitset word), per-shard neighbor
+	// regeneration buffers (cap ≥ MaxDegree) and message counters. A
+	// sequential run is one shard.
 	bounds   []int
 	wscratch [][]int
 	wmsgs    []int64
@@ -159,9 +157,6 @@ func (cs *castState) reset(cfg CastConfig) error {
 	}
 	cs.alive.Fill()
 	cs.maxDeg = cfg.Topology.MaxDegree()
-	if cap(cs.scratch) < cs.maxDeg {
-		cs.scratch = make([]int, 0, cs.maxDeg)
-	}
 	cs.crashes = cs.crashes[:0]
 	cs.nextCrash = 0
 	if cfg.Crash != nil {
@@ -256,13 +251,19 @@ func (cs *castState) absorbRange(r, lo, hi int, scratch []int) []int {
 	return scratch
 }
 
-// run executes the sequential neighborcast loop.
-func (cs *castState) run() *CastResult {
+// run executes the neighborcast loop. Each round publishes (cast)
+// then gathers (absorb); with a pool each half fans out over the
+// workers' shards behind a barrier, without one it runs inline as a
+// single shard. The crash seam and the Done check stay on the caller.
+func (cs *castState) run(p *pool) *CastResult {
 	rounds := 0
 	for r := 0; r < cs.maxRounds; r++ {
 		cs.applyCrashes(r)
-		cs.msgs += cs.castRange(r, 0, cs.n)
-		cs.scratch = cs.absorbRange(r, 0, cs.n, cs.scratch)
+		cs.phase(p, jobCast, r)
+		for _, m := range cs.wmsgs {
+			cs.msgs += m
+		}
+		cs.phase(p, jobAbsorb, r)
 		rounds = r + 1
 		if cs.sys.Done(rounds) {
 			break
@@ -282,32 +283,33 @@ func (cs *castState) run() *CastResult {
 // allocation-free. The returned result is owned by the arena and
 // valid until the next cast run on this Runtime.
 func (rt *Runtime) RunCast(cfg CastConfig) (*CastResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	return rt.runCast(cfg, obs.EngineCast, 0)
+}
+
+// runCast is the neighborcast lifecycle; engine selects inline or
+// pool-sharded phases.
+func (rt *Runtime) runCast(cfg CastConfig, engine obs.Engine, workers int) (*CastResult, error) {
+	tr := startTrace(cfg.Tracer, engine)
 	if rt.cs == nil {
 		rt.cs = &castState{}
 	}
-	if err := rt.cs.reset(cfg); err != nil {
-		rt.cs.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineCast, obs.OutcomeError, 0, time.Since(t0))
-		}
+	cs := rt.cs
+	if err := cs.reset(cfg); err != nil {
+		cs.detach()
+		tr.fail()
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
+	var p *pool
+	shards := 1
+	if engine == obs.EngineCastParallel {
+		p = rt.workerPool(resolveWorkers(workers, cs.n))
+		shards = p.workers
 	}
-	res := rt.cs.run()
-	rt.cs.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		tr.RunDone(obs.EngineCast, obs.OutcomeOK, res.Rounds, now.Sub(t0))
-	}
+	cs.shard(shards)
+	tr.setupDone()
+	res := cs.run(p)
+	cs.detach()
+	tr.done(res.Rounds, nil)
 	return res, nil
 }
 

@@ -1,14 +1,9 @@
 package sim
 
-import (
-	"runtime"
-	"time"
+import "lineartime/internal/obs"
 
-	"lineartime/internal/obs"
-)
-
-// The parallel neighborcast engine shards the node range over a
-// persistent worker pool. Each round has two barriers, matching the
+// The parallel neighborcast engine shards the node range over the
+// Runtime's worker pool. Each round has two barriers, matching the
 // sequential engine's two halves: all workers cast (publish into the
 // shared bit planes), then all workers absorb (gather from them). The
 // cast half writes bitset words, so shard boundaries are rounded up to
@@ -20,82 +15,14 @@ import (
 // exactly the full round's casts either way, the parallel engine is
 // result-identical to the sequential one.
 
-// castJob is the phase a parked cast worker is told to execute.
-type castJob uint8
-
+// The neighborcast engine's phases.
 const (
-	castJobCast castJob = iota
-	castJobAbsorb
-	castJobStop
+	jobCast = iota
+	jobAbsorb
 )
 
-// castPool is the persistent worker pool of the parallel neighborcast
-// engine. Workers stay parked on their job channels between runs.
-type castPool struct {
-	cs      *castState
-	workers int
-	jobs    []chan castJob
-	done    chan struct{}
-}
-
-// castPoolSlot is the stable object the Runtime's cleanup watches,
-// mirroring poolSlot.
-type castPoolSlot struct {
-	p *castPool
-}
-
-func newCastPool(cs *castState, workers int) *castPool {
-	p := &castPool{
-		cs:      cs,
-		workers: workers,
-		jobs:    make([]chan castJob, workers),
-		done:    make(chan struct{}, workers),
-	}
-	for i := range p.jobs {
-		p.jobs[i] = make(chan castJob, 1)
-		go p.worker(i)
-	}
-	return p
-}
-
-func (p *castPool) worker(i int) {
-	cs := p.cs
-	for j := range p.jobs[i] {
-		if j == castJobStop {
-			return
-		}
-		lo, hi := cs.bounds[i], cs.bounds[i+1]
-		switch j {
-		case castJobCast:
-			cs.wmsgs[i] = cs.castRange(cs.round, lo, hi)
-		case castJobAbsorb:
-			cs.wscratch[i] = cs.absorbRange(cs.round, lo, hi, cs.wscratch[i])
-		}
-		p.done <- struct{}{}
-	}
-}
-
-// dispatch runs one phase on every worker and waits for the barrier.
-// The job send publishes the round number and shard bounds written by
-// the caller; the done receive publishes the workers' plane writes
-// back.
-func (p *castPool) dispatch(j castJob) {
-	for _, ch := range p.jobs {
-		ch <- j
-	}
-	for i := 0; i < p.workers; i++ {
-		<-p.done
-	}
-}
-
-func (p *castPool) shutdown() {
-	for _, ch := range p.jobs {
-		ch <- castJobStop
-	}
-}
-
-// shard computes 64-aligned shard bounds for w workers and sizes the
-// per-worker scratch and message accumulators, reusing prior capacity.
+// shard computes 64-aligned shard bounds for w shards and sizes the
+// per-shard scratch and message accumulators, reusing prior capacity.
 func (cs *castState) shard(w int) {
 	if cap(cs.bounds) < w+1 {
 		cs.bounds = make([]int, 0, w+1)
@@ -125,29 +52,25 @@ func (cs *castState) shard(w int) {
 	cs.wmsgs = cs.wmsgs[:w]
 }
 
-// runParallel executes the neighborcast loop over the pool.
-func (cs *castState) runParallel(p *castPool) *CastResult {
-	rounds := 0
-	for r := 0; r < cs.maxRounds; r++ {
-		cs.applyCrashes(r)
-		cs.round = r
-		p.dispatch(castJobCast)
-		for i := range cs.wmsgs {
-			cs.msgs += cs.wmsgs[i]
-		}
-		p.dispatch(castJobAbsorb)
-		rounds = r + 1
-		if cs.sys.Done(rounds) {
-			break
-		}
+// runShard is the neighborcast engine's phase switch (shardRunner).
+func (cs *castState) runShard(w int, job poolJob) {
+	lo, hi := cs.bounds[w], cs.bounds[w+1]
+	switch job.kind {
+	case jobCast:
+		cs.wmsgs[w] = cs.castRange(job.round, lo, hi)
+	case jobAbsorb:
+		cs.wscratch[w] = cs.absorbRange(job.round, lo, hi, cs.wscratch[w])
 	}
-	cs.res = CastResult{
-		Rounds:   rounds,
-		Messages: cs.msgs,
-		Bits:     cs.msgs,
-		Alive:    cs.alive.Count(),
+}
+
+// phase runs one half of round r over every shard: on the pool's
+// workers when there is one, inline as shard 0 otherwise.
+func (cs *castState) phase(p *pool, kind, r int) {
+	if p == nil {
+		cs.runShard(0, poolJob{kind: kind, round: r})
+		return
 	}
-	return &cs.res
+	p.runPhase(cs, kind, r)
 }
 
 // RunCastParallel executes a neighborcast system on the sharded worker
@@ -159,58 +82,14 @@ func (cs *castState) runParallel(p *castPool) *CastResult {
 // is owned by the arena and valid until the next cast run on this
 // Runtime.
 func (rt *Runtime) RunCastParallel(cfg CastConfig, workers int) (*CastResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
-	if rt.cs == nil {
-		rt.cs = &castState{}
-	}
-	cs := rt.cs
-	if err := cs.reset(cfg); err != nil {
-		cs.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineCastParallel, obs.OutcomeError, 0, time.Since(t0))
-		}
-		return nil, err
-	}
-	w := resolveWorkers(workers, cs.n)
-	cs.shard(w)
-	if rt.castSlot == nil {
-		rt.castSlot = &castPoolSlot{}
-		// As with the main pool: the workers keep the pool and the
-		// cast state alive but not the Runtime, so a dropped Runtime
-		// still becomes unreachable and the cleanup reaps the pool.
-		runtime.AddCleanup(rt, func(s *castPoolSlot) {
-			if s.p != nil {
-				s.p.shutdown()
-			}
-		}, rt.castSlot)
-	}
-	switch pl := rt.castSlot.p; {
-	case pl == nil:
-		rt.castSlot.p = newCastPool(cs, w)
-	case pl.workers != w:
-		pl.shutdown()
-		rt.castSlot.p = newCastPool(cs, w)
-	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
-	res := cs.runParallel(rt.castSlot.p)
-	cs.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		tr.RunDone(obs.EngineCastParallel, obs.OutcomeOK, res.Rounds, now.Sub(t0))
-	}
-	return res, nil
+	return rt.runCast(cfg, obs.EngineCastParallel, workers)
 }
 
 // RunCastParallel executes the configured neighborcast system on a
-// fresh arena with the given worker count.
+// fresh arena with the given worker count, stopping the pool before it
+// returns.
 func RunCastParallel(cfg CastConfig, workers int) (*CastResult, error) {
-	return NewRuntime().RunCastParallel(cfg, workers)
+	rt := NewRuntime()
+	defer rt.Close()
+	return rt.RunCastParallel(cfg, workers)
 }

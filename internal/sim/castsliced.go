@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	mathbits "math/bits"
-	"time"
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/graph"
@@ -162,32 +161,19 @@ func (s *castSlicedState) run() *CastSlicedResult {
 // The returned result aliases arena memory and is valid until the next
 // sliced cast run on this Runtime.
 func (rt *Runtime) RunCastSliced(cfg CastSlicedConfig) (*CastSlicedResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	tr := startTrace(cfg.Tracer, obs.EngineCastSliced)
 	if rt.csl == nil {
 		rt.csl = &castSlicedState{}
 	}
 	if err := rt.csl.reset(cfg); err != nil {
 		rt.csl.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineCastSliced, obs.OutcomeError, 0, time.Since(t0))
-		}
+		tr.fail()
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
+	tr.setupDone()
 	res := rt.csl.run()
 	rt.csl.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		tr.RunDone(obs.EngineCastSliced, obs.OutcomeOK, res.Rounds, now.Sub(t0))
-	}
+	tr.done(res.Rounds, nil)
 	return res, nil
 }
 

@@ -88,41 +88,59 @@ func (NoFailures) FilterSend(_ int, _ NodeID, outbox []Envelope) ([]Envelope, bo
 
 var _ LinkFault = NoFailures{}
 
-// delayRing buffers in-flight delayed messages in packed wire form:
-// one reusable slot per future round, indexed by arrival round modulo
-// the window size (MaxDelay+1). Slots keep their capacity across
-// rounds, so after the run's peak in-flight volume the ring never
-// touches the allocator — the same recycling discipline as the
-// single-port rings in ports.go.
-type delayRing struct {
-	slots [][]wireMsg
+// delayRing buffers in-flight delayed messages — packed wire messages
+// on the general engine, word messages on the sliced one: one reusable
+// slot per future round, indexed by arrival round modulo the window
+// size (MaxDelay+1). Slots keep their capacity across rounds, so after
+// the run's peak in-flight volume the ring never touches the allocator
+// — the same recycling discipline as the single-port rings in
+// ports.go.
+type delayRing[T any] struct {
+	slots [][]T
 }
 
-func newDelayRing(maxDelay int) *delayRing {
-	return &delayRing{slots: make([][]wireMsg, maxDelay+1)}
+// newDelayRing returns an empty wire-message ring for the given
+// MaxDelay.
+func newDelayRing(maxDelay int) *delayRing[wireMsg] {
+	return &delayRing[wireMsg]{slots: make([][]wireMsg, maxDelay+1)}
+}
+
+// recycled returns the ring for a fresh run with the given delay
+// bound: d itself, emptied, when its window already fits; a new ring
+// when the window changed; nil when maxDelay is 0 (nothing is ever
+// delayed). d may be nil.
+func (d *delayRing[T]) recycled(maxDelay int) *delayRing[T] {
+	switch {
+	case maxDelay == 0:
+		return nil
+	case d == nil || len(d.slots) != maxDelay+1:
+		return &delayRing[T]{slots: make([][]T, maxDelay+1)}
+	}
+	d.reset()
+	return d
 }
 
 // reset empties every slot for a fresh run on the same arena, keeping
 // slot capacity (a previous run may have completed with messages still
 // in flight).
-func (d *delayRing) reset() {
+func (d *delayRing[T]) reset() {
 	for i := range d.slots {
 		d.slots[i] = d.slots[i][:0]
 	}
 }
 
-// push parks a packed message for delivery at the given arrival round.
+// push parks a message for delivery at the given arrival round.
 // The arrival must lie within (round, round+MaxDelay] of the current
 // round; the engine validates the verdict before pushing.
-func (d *delayRing) push(arrival int, wm wireMsg) {
+func (d *delayRing[T]) push(arrival int, m T) {
 	i := arrival % len(d.slots)
-	d.slots[i] = append(d.slots[i], wm)
+	d.slots[i] = append(d.slots[i], m)
 }
 
 // take returns the messages arriving at the given round and recycles
 // the slot. The returned slice is valid until the slot's round comes
 // up again, which is at least MaxDelay rounds away.
-func (d *delayRing) take(round int) []wireMsg {
+func (d *delayRing[T]) take(round int) []T {
 	i := round % len(d.slots)
 	arrivals := d.slots[i]
 	d.slots[i] = arrivals[:0]

@@ -38,31 +38,23 @@ import (
 // seam — verdict order is observable by stateful filters — and still
 // fan out send and the decode + deliver phase.
 //
-// The pool is reusable across runs (see Runtime): workers persist,
-// blocked on their job channels, and prepare re-sizes the per-node and
-// per-worker buffers for the next configuration.
+// The pool is the Runtime's one pool, shared with the parallel
+// neighborcast engine (castpool.go) and reused across runs: workers
+// persist, blocked on their job channels, and shardScratch.prepare
+// re-sizes the per-node and per-worker buffers for the next
+// configuration.
 
 // RunParallel executes the configured system on the sharded worker
-// pool. workers <= 0 selects GOMAXPROCS. It produces results identical
-// to Run (the sequential engine); the equivalence is a test. Multi-port
+// pool of a fresh Runtime, stopping the pool before it returns.
+// workers <= 0 selects GOMAXPROCS. It produces results identical to
+// Run (the sequential engine); the equivalence is a test. Multi-port
 // only: the single-port model is inherently centralized. Configs with
 // an Observer are rejected; observers need the sequential engine's
 // event order.
 func RunParallel(cfg Config, workers int) (*Result, error) {
-	st, err := newParallelState(cfg)
-	if err != nil {
-		return nil, err
-	}
-	p := newPool(st, resolveWorkers(workers, st.n))
-	defer p.shutdown()
-	st.pool = p
-	res, err := st.run()
-	if err != nil {
-		return nil, err
-	}
-	// As in Run: detach the envelope from the engine arena.
-	r := *res
-	return &r, nil
+	rt := NewRuntime()
+	defer rt.Close()
+	return ownResult(rt.RunParallel(cfg, workers))
 }
 
 var (
@@ -70,9 +62,8 @@ var (
 	errObserverParallel   = errors.New("sim: Observer requires the sequential engine")
 )
 
-// validateParallelConfig centralizes the parallel engine's config
-// constraints for both entry points (package RunParallel and
-// Runtime.RunParallel).
+// validateParallelConfig holds the parallel engine's config
+// constraints.
 func validateParallelConfig(cfg Config) error {
 	if cfg.SinglePort {
 		return errSinglePortParallel
@@ -81,13 +72,6 @@ func validateParallelConfig(cfg Config) error {
 		return errObserverParallel
 	}
 	return nil
-}
-
-func newParallelState(cfg Config) (*state, error) {
-	if err := validateParallelConfig(cfg); err != nil {
-		return nil, err
-	}
-	return newState(cfg)
 }
 
 // resolveWorkers maps a requested worker count to the effective one:
@@ -106,11 +90,14 @@ func resolveWorkers(workers, n int) int {
 	return workers
 }
 
+// poolJob is one phase of one round, as dispatched to a worker. kind
+// is interpreted by the engine that dispatched it.
 type poolJob struct {
 	kind  int
 	round int
 }
 
+// The general engine's phases.
 const (
 	jobSend = iota
 	jobPack
@@ -118,18 +105,79 @@ const (
 	jobDeliver
 )
 
-// pool is the fixed worker pool. Workers persist for the pool's
-// lifetime; each owns the contiguous node shard bounds[w]..bounds[w+1]
-// and communicates with the coordinator through its job channel and
-// the phase WaitGroup.
+// shardRunner is an engine that runs one phase over one worker's
+// shard: the general engine (state) and the neighborcast engine
+// (castState). Each owns its phase switch, its shard bounds and its
+// per-worker scratch; the pool only supplies goroutines and barriers.
+type shardRunner interface {
+	runShard(w int, job poolJob)
+}
+
+// pool is the package's worker pool: a fixed set of goroutines, one
+// job channel each, barrier-synced per phase. Workers persist for the
+// pool's lifetime, parked on their job channels between phases and
+// between runs, so one pool serves any sequence of parallel runs of
+// either engine at its worker count.
 type pool struct {
-	st      *state
+	workers int
+	// eng is the engine the current phase belongs to; written by the
+	// coordinator before the job sends that publish it.
+	eng    shardRunner
+	jobs   []chan poolJob
+	phase  sync.WaitGroup
+	exited sync.WaitGroup
+	down   sync.Once
+}
+
+func newPool(workers int) *pool {
+	p := &pool{workers: workers, jobs: make([]chan poolJob, workers)}
+	p.exited.Add(workers)
+	for w := 0; w < workers; w++ {
+		p.jobs[w] = make(chan poolJob, 1)
+		go p.worker(w)
+	}
+	return p
+}
+
+func (p *pool) worker(w int) {
+	defer p.exited.Done()
+	for job := range p.jobs[w] {
+		p.eng.runShard(w, job)
+		p.phase.Done()
+	}
+}
+
+// runPhase dispatches one phase of eng to every worker and waits for
+// the barrier. The job sends publish everything the coordinator wrote
+// before the phase; the WaitGroup completion gives the coordinator a
+// happens-before edge over all scratch the workers wrote.
+func (p *pool) runPhase(eng shardRunner, kind, round int) {
+	p.eng = eng
+	p.phase.Add(p.workers)
+	for w := 0; w < p.workers; w++ {
+		p.jobs[w] <- poolJob{kind: kind, round: round}
+	}
+	p.phase.Wait()
+}
+
+// shutdown stops the workers and returns once they have exited. It is
+// idempotent.
+func (p *pool) shutdown() {
+	p.down.Do(func() {
+		for _, ch := range p.jobs {
+			close(ch)
+		}
+		p.exited.Wait()
+	})
+}
+
+// shardScratch is the general engine's parallel scratch: worker w
+// owns the contiguous node shard bounds[w]..bounds[w+1]. It lives in
+// the state, so it survives pool rebuilds and runs of the other
+// engine on the same pool.
+type shardScratch struct {
 	workers int
 	bounds  []int
-	jobs    []chan poolJob
-	phase   sync.WaitGroup
-	exited  sync.WaitGroup
-	down    sync.Once
 	// Per-node scratch, written only by the owning worker during a
 	// phase and read by the coordinator between phases.
 	outbox  [][]Envelope
@@ -150,93 +198,92 @@ type pool struct {
 	wbyzBits []int64
 }
 
-func newPool(st *state, workers int) *pool {
-	p := &pool{
-		workers:  workers,
-		bounds:   make([]int, workers+1),
-		jobs:     make([]chan poolJob, workers),
-		wbuf:     make([][]wireMsg, workers),
-		wesc:     make([]escTable, workers),
-		wcounts:  make([][]int32, workers),
-		wstart:   make([][]int32, workers),
-		dbuf:     make([][]Envelope, workers),
-		wmsgs:    make([]int64, workers),
-		wbits:    make([]int64, workers),
-		wbyzMsgs: make([]int64, workers),
-		wbyzBits: make([]int64, workers),
+// prepare sizes the scratch for n nodes over the given worker count.
+// Steady state — same n and workers across runs — touches no
+// allocator.
+func (sh *shardScratch) prepare(n, workers int) {
+	if sh.workers != workers {
+		*sh = shardScratch{
+			workers:  workers,
+			bounds:   make([]int, workers+1),
+			wbuf:     make([][]wireMsg, workers),
+			wesc:     make([]escTable, workers),
+			wcounts:  make([][]int32, workers),
+			wstart:   make([][]int32, workers),
+			dbuf:     make([][]Envelope, workers),
+			wmsgs:    make([]int64, workers),
+			wbits:    make([]int64, workers),
+			wbyzMsgs: make([]int64, workers),
+			wbyzBits: make([]int64, workers),
+		}
 	}
-	p.prepare(st)
-	p.exited.Add(workers)
-	for w := 0; w < workers; w++ {
-		p.jobs[w] = make(chan poolJob, 1)
-		go p.worker(w)
-	}
-	return p
-}
-
-// prepare re-targets the pool at a (possibly re-reset) state, sizing
-// the per-node arrays and shard bounds for its node count. Steady
-// state — same n across runs — touches no allocator.
-func (p *pool) prepare(st *state) {
-	p.st = st
-	n := st.n
-	if len(p.outbox) != n {
-		p.outbox = make([][]Envelope, n)
-		p.deliver = make([][]Envelope, n)
-		p.errs = make([]error, n)
-		p.halted = make([]bool, n)
-		for w := 0; w < p.workers; w++ {
-			p.wcounts[w] = make([]int32, n)
-			p.wstart[w] = make([]int32, n)
+	if len(sh.outbox) != n {
+		sh.outbox = make([][]Envelope, n)
+		sh.deliver = make([][]Envelope, n)
+		sh.errs = make([]error, n)
+		sh.halted = make([]bool, n)
+		for w := 0; w < workers; w++ {
+			sh.wcounts[w] = make([]int32, n)
+			sh.wstart[w] = make([]int32, n)
 		}
 	} else {
-		clear(p.outbox)
-		clear(p.deliver)
-		clear(p.errs)
-		clear(p.halted)
+		clear(sh.outbox)
+		clear(sh.deliver)
+		clear(sh.errs)
+		clear(sh.halted)
 	}
-	for w := 0; w <= p.workers; w++ {
-		p.bounds[w] = w * n / p.workers
+	for w := 0; w <= workers; w++ {
+		sh.bounds[w] = w * n / workers
 	}
 }
 
-func (p *pool) worker(w int) {
-	defer p.exited.Done()
-	for job := range p.jobs[w] {
-		st := p.st
-		lo, hi := p.bounds[w], p.bounds[w+1]
-		switch job.kind {
-		case jobSend:
-			for id := lo; id < hi; id++ {
-				if !st.alive(id) {
-					continue
-				}
-				out := st.cfg.Protocols[id].Send(job.round)
-				if err := st.validateOutbox(id, out); err != nil {
-					p.errs[id] = err
-					p.outbox[id] = nil
-					continue
-				}
-				p.outbox[id] = out
+// scrub drops the payload references the scratch holds once a run is
+// over. outbox/deliver are consumed-and-nilled every completed round
+// but hold protocol slices after an aborted one.
+func (sh *shardScratch) scrub() {
+	clear(sh.outbox)
+	clear(sh.deliver)
+	for w := 0; w < sh.workers; w++ {
+		sh.wesc[w].reset()
+		sh.dbuf[w] = sh.dbuf[w][:cap(sh.dbuf[w])]
+		clear(sh.dbuf[w])
+	}
+}
+
+// runShard is the general engine's phase switch (shardRunner).
+func (s *state) runShard(w int, job poolJob) {
+	sh := &s.sh
+	lo, hi := sh.bounds[w], sh.bounds[w+1]
+	switch job.kind {
+	case jobSend:
+		for id := lo; id < hi; id++ {
+			if !s.alive(id) {
+				continue
 			}
-		case jobPack:
-			p.packShard(st, w, lo, hi)
-		case jobScatter:
-			p.scatterShard(st, w)
-		case jobDeliver:
-			buf := p.dbuf[w]
-			for id := lo; id < hi; id++ {
-				if !st.alive(id) {
-					continue
-				}
-				var inbox []Envelope
-				inbox, buf = decodeWireInto(st, st.scratch.inboxOf(id), buf)
-				st.cfg.Protocols[id].Deliver(job.round, inbox)
-				p.halted[id] = st.cfg.Protocols[id].Halted()
+			out := s.cfg.Protocols[id].Send(job.round)
+			if err := s.validateOutbox(id, out); err != nil {
+				sh.errs[id] = err
+				sh.outbox[id] = nil
+				continue
 			}
-			p.dbuf[w] = buf
+			sh.outbox[id] = out
 		}
-		p.phase.Done()
+	case jobPack:
+		s.packShard(w, lo, hi)
+	case jobScatter:
+		s.scatterShard(w)
+	case jobDeliver:
+		buf := sh.dbuf[w]
+		for id := lo; id < hi; id++ {
+			if !s.alive(id) {
+				continue
+			}
+			var inbox []Envelope
+			inbox, buf = decodeWireInto(s, s.scratch.inboxOf(id), buf)
+			s.cfg.Protocols[id].Deliver(job.round, inbox)
+			sh.halted[id] = s.cfg.Protocols[id].Halted()
+		}
+		sh.dbuf[w] = buf
 	}
 }
 
@@ -245,17 +292,18 @@ func (p *pool) worker(w int) {
 // totals and shard-local traffic. Escape payloads go to the worker's
 // own table (id w+1), recycled every round — the parallel fast path
 // has no cross-round message parking.
-func (p *pool) packShard(st *state, w, lo, hi int) {
-	esc := &p.wesc[w]
+func (s *state) packShard(w, lo, hi int) {
+	sh := &s.sh
+	esc := &sh.wesc[w]
 	esc.reset()
-	buf := p.wbuf[w][:0]
-	counts := p.wcounts[w]
+	buf := sh.wbuf[w][:0]
+	counts := sh.wcounts[w]
 	clear(counts)
 	table := uint64(w + 1)
 	var msgs, bits, byzMsgs, byzBits int64
 	for id := lo; id < hi; id++ {
-		deliver := p.deliver[id]
-		p.deliver[id] = nil
+		deliver := sh.deliver[id]
+		sh.deliver[id] = nil
 		if len(deliver) == 0 {
 			continue
 		}
@@ -266,7 +314,7 @@ func (p *pool) packShard(st *state, w, lo, hi int) {
 			counts[wm.To]++
 			sb += b
 		}
-		if st.byz[id] {
+		if s.byz[id] {
 			byzMsgs += int64(len(deliver))
 			byzBits += sb
 		} else {
@@ -274,44 +322,24 @@ func (p *pool) packShard(st *state, w, lo, hi int) {
 			bits += sb
 		}
 	}
-	p.wbuf[w] = buf
-	p.wmsgs[w], p.wbits[w] = msgs, bits
-	p.wbyzMsgs[w], p.wbyzBits[w] = byzMsgs, byzBits
+	sh.wbuf[w] = buf
+	sh.wmsgs[w], sh.wbits[w] = msgs, bits
+	sh.wbyzMsgs[w], sh.wbyzBits[w] = byzMsgs, byzBits
 }
 
 // scatterShard places one worker's staged messages into the shared
 // inbox. The coordinator pre-computed disjoint per-(worker,
 // destination) cursor ranges, so workers write without coordination
 // and every destination segment comes out in ascending sender order.
-func (p *pool) scatterShard(st *state, w int) {
-	inbox := st.scratch.inbox
-	start := p.wstart[w]
-	buf := p.wbuf[w]
+func (s *state) scatterShard(w int) {
+	inbox := s.scratch.inbox
+	start := s.sh.wstart[w]
+	buf := s.sh.wbuf[w]
 	for i := range buf {
 		to := buf[i].To
 		inbox[start[to]] = buf[i]
 		start[to]++
 	}
-}
-
-// runPhase dispatches one phase to every worker and waits for the
-// barrier. The WaitGroup completion gives the coordinator a
-// happens-before edge over all per-node scratch the workers wrote.
-func (p *pool) runPhase(kind, round int) {
-	p.phase.Add(p.workers)
-	for w := 0; w < p.workers; w++ {
-		p.jobs[w] <- poolJob{kind: kind, round: round}
-	}
-	p.phase.Wait()
-}
-
-func (p *pool) shutdown() {
-	p.down.Do(func() {
-		for _, ch := range p.jobs {
-			close(ch)
-		}
-		p.exited.Wait()
-	})
 }
 
 // roundParallel is the pool-backed counterpart of state.round.
@@ -326,8 +354,8 @@ func (s *state) roundParallel(r int) error {
 // counting, scattering and decoding all fan out; only the node-level
 // fault layer and the offset prefix-sum stay serial.
 func (s *state) roundParallelFast(r int) error {
-	p := s.pool
-	p.runPhase(jobSend, r)
+	p, sh := s.pool, &s.sh
+	p.runPhase(s, jobSend, r)
 
 	// Serial seam 1: validation errors surface for the lowest
 	// offending node, then the node-level fault sees outboxes in node
@@ -344,12 +372,12 @@ func (s *state) roundParallelFast(r int) error {
 		if !s.alive(id) {
 			continue
 		}
-		if err := p.errs[id]; err != nil {
+		if err := sh.errs[id]; err != nil {
 			return err
 		}
-		deliver, crash := s.fault.FilterSend(r, id, p.outbox[id])
-		p.outbox[id] = nil
-		p.deliver[id] = deliver
+		deliver, crash := s.fault.FilterSend(r, id, sh.outbox[id])
+		sh.outbox[id] = nil
+		sh.deliver[id] = deliver
 		if crash {
 			crashedNow = append(crashedNow, id)
 		}
@@ -359,7 +387,7 @@ func (s *state) roundParallelFast(r int) error {
 		s.crashed.Add(id)
 	}
 
-	p.runPhase(jobPack, r)
+	p.runPhase(s, jobPack, r)
 
 	// Serial seam 2: prefix-sum the shard-local destination counts
 	// into global segment offsets and disjoint per-(worker,
@@ -368,19 +396,19 @@ func (s *state) roundParallelFast(r int) error {
 	off := int32(0)
 	for d := 0; d < s.n; d++ {
 		sc.offs[d] = off
-		for w := 0; w < p.workers; w++ {
-			p.wstart[w][d] = off
-			off += p.wcounts[w][d]
+		for w := 0; w < sh.workers; w++ {
+			sh.wstart[w][d] = off
+			off += sh.wcounts[w][d]
 		}
 	}
 	sc.offs[s.n] = off
 	sc.sizeInbox(int(off))
 	var msgs, bits, byzMsgs, byzBits int64
-	for w := 0; w < p.workers; w++ {
-		msgs += p.wmsgs[w]
-		bits += p.wbits[w]
-		byzMsgs += p.wbyzMsgs[w]
-		byzBits += p.wbyzBits[w]
+	for w := 0; w < sh.workers; w++ {
+		msgs += sh.wmsgs[w]
+		bits += sh.wbits[w]
+		byzMsgs += sh.wbyzMsgs[w]
+		byzBits += sh.wbyzBits[w]
 	}
 	if msgs+byzMsgs > 0 {
 		s.ensureLabel(r)
@@ -394,10 +422,10 @@ func (s *state) roundParallelFast(r int) error {
 		s.metrics.PerPart[s.label] += msgs
 	}
 
-	p.runPhase(jobScatter, r)
-	p.runPhase(jobDeliver, r)
+	p.runPhase(s, jobScatter, r)
+	p.runPhase(s, jobDeliver, r)
 	for id := 0; id < s.n; id++ {
-		if s.alive(id) && p.halted[id] {
+		if s.alive(id) && sh.halted[id] {
 			s.haltedAt[id] = r
 		}
 	}
@@ -409,8 +437,8 @@ func (s *state) roundParallelFast(r int) error {
 // seam — per-envelope link verdicts are order-observable — while the
 // send and deliver phases still fan out.
 func (s *state) roundParallelStitched(r int) error {
-	p := s.pool
-	p.runPhase(jobSend, r)
+	p, sh := s.pool, &s.sh
+	p.runPhase(s, jobSend, r)
 
 	sc := &s.scratch
 	sc.beginRound()
@@ -424,11 +452,11 @@ func (s *state) roundParallelStitched(r int) error {
 		if !s.alive(id) {
 			continue
 		}
-		if err := p.errs[id]; err != nil {
+		if err := sh.errs[id]; err != nil {
 			return err
 		}
-		deliver, crash := s.fault.FilterSend(r, id, p.outbox[id])
-		p.outbox[id] = nil
+		deliver, crash := s.fault.FilterSend(r, id, sh.outbox[id])
+		sh.outbox[id] = nil
 		if crash {
 			crashedNow = append(crashedNow, id)
 		}
@@ -446,9 +474,9 @@ func (s *state) roundParallelStitched(r int) error {
 	}
 	sc.place()
 
-	p.runPhase(jobDeliver, r)
+	p.runPhase(s, jobDeliver, r)
 	for id := 0; id < s.n; id++ {
-		if s.alive(id) && p.halted[id] {
+		if s.alive(id) && sh.halted[id] {
 			s.haltedAt[id] = r
 		}
 	}

@@ -4,6 +4,8 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"lineartime/internal/graph"
 )
 
 // badAt emits an invalid envelope (forged sender) at a chosen round,
@@ -30,6 +32,10 @@ func TestSequentialErrorMidRun(t *testing.T) {
 }
 
 func TestConcurrentErrorShutsDownWorkers(t *testing.T) {
+	sh, err := graph.NewShift(256, 8, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 5; trial++ {
 		ps := make([]Protocol, 16)
@@ -43,6 +49,12 @@ func TestConcurrentErrorShutsDownWorkers(t *testing.T) {
 		if _, err := RunParallel(Config{Protocols: ps, MaxRounds: 20}, 0); err == nil {
 			t.Fatal("invalid envelope accepted")
 		}
+		// A Runtime whose pool ran the neighborcast engine, then closed.
+		rt := NewRuntime()
+		if _, err := rt.RunCastParallel(CastConfig{System: newFloodCast(sh.N(), 0), Topology: sh, MaxRounds: 3}, 4); err != nil {
+			t.Fatal(err)
+		}
+		rt.Close()
 	}
 	// All worker goroutines must have exited; allow the runtime a
 	// moment to reap them.

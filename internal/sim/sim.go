@@ -26,6 +26,14 @@
 // repeated runs — sweeps, replications, benchmarks — are steady-state
 // allocation-free end to end. See EXPERIMENTS.md for the benchmark
 // harness that tracks this.
+//
+// Six engines run the round: sequential, parallel, sliced, cast,
+// cast-parallel and cast-sliced. All of them are Runtime methods with
+// one lifecycle — reset, rounds, detach — inside one tracer envelope
+// (trace.go), and the two parallel engines share the Runtime's one
+// worker pool (pool.go). The package-level Run, RunParallel,
+// RunSliced, RunCast, RunCastParallel and RunCastSliced are those
+// methods on a fresh Runtime, so they honour Config.Tracer too.
 package sim
 
 import (
@@ -181,18 +189,18 @@ func (r *Result) Clone() *Result {
 var ErrNoTermination = errors.New("sim: protocol did not terminate within MaxRounds")
 
 // Run executes the configured system to completion on the sequential
-// engine and returns metrics and fault bookkeeping.
+// engine of a fresh Runtime and returns metrics and fault bookkeeping.
 func Run(cfg Config) (*Result, error) {
-	st, err := newState(cfg)
+	return ownResult(NewRuntime().Run(cfg))
+}
+
+// ownResult copies a fresh arena's result envelope out of its state,
+// so a retained Result pins only the metrics slices, not the whole
+// engine arena.
+func ownResult(res *Result, err error) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	res, err := st.run()
-	if err != nil {
-		return nil, err
-	}
-	// Copy the envelope out of the state so a retained Result pins
-	// only the metrics slices, not the whole engine arena.
 	r := *res
 	return &r, nil
 }
@@ -263,7 +271,7 @@ type state struct {
 	fault    LinkFault
 	filter   LinkFilter
 	maxDelay int
-	ring     *delayRing
+	ring     *delayRing[wireMsg]
 	byz      []bool
 	crashed  *bitset.Set
 	haltedAt []int
@@ -298,8 +306,10 @@ type state struct {
 	// run.
 	res Result
 	// pool, when non-nil, shards the round phases across its workers
-	// (multi-port only; see pool.go).
+	// (multi-port only; see pool.go); sh is the per-shard scratch those
+	// phases use.
 	pool *pool
+	sh   shardScratch
 }
 
 // reset (re)initializes the state for a run, recycling every buffer a
@@ -333,15 +343,7 @@ func (st *state) reset(cfg Config) error {
 			st.maxDelay = d
 		}
 	}
-	if st.maxDelay > 0 {
-		if st.ring == nil || len(st.ring.slots) != st.maxDelay+1 {
-			st.ring = newDelayRing(st.maxDelay)
-		} else {
-			st.ring.reset()
-		}
-	} else {
-		st.ring = nil
-	}
+	st.ring = st.ring.recycled(st.maxDelay)
 	st.byz = growSlice(st.byz, n)
 	clear(st.byz)
 	if cfg.Byzantine != nil {
@@ -666,18 +668,11 @@ func (s *state) detach() {
 	s.deliverBuf = s.deliverBuf[:cap(s.deliverBuf)]
 	clear(s.deliverBuf)
 	s.esc.reset()
-	if p := s.pool; p != nil {
+	if s.pool != nil {
 		// Workers are parked between runs, so the coordinator may
-		// scrub their payload-holding scratch too. outbox/deliver are
-		// consumed-and-nilled every completed round but hold protocol
-		// slices after an aborted one.
-		clear(p.outbox)
-		clear(p.deliver)
-		for w := 0; w < p.workers; w++ {
-			p.wesc[w].reset()
-			p.dbuf[w] = p.dbuf[w][:cap(p.dbuf[w])]
-			clear(p.dbuf[w])
-		}
+		// scrub their payload-holding scratch too.
+		s.sh.scrub()
+		s.pool = nil
 	}
 }
 

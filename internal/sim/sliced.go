@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"slices"
-	"time"
 
 	"lineartime/internal/bitset"
 	"lineartime/internal/obs"
@@ -166,11 +165,7 @@ type SlicedResult struct {
 // RunSliced executes a sliced run on a fresh arena. For repeated runs
 // use Runtime.RunSliced, which recycles the arena.
 func RunSliced(cfg SlicedConfig) (*SlicedResult, error) {
-	var s slicedState
-	if err := s.reset(cfg); err != nil {
-		return nil, err
-	}
-	return s.run()
+	return NewRuntime().RunSliced(cfg)
 }
 
 // RunSliced executes a sliced run, reusing the arena's sliced buffers;
@@ -178,40 +173,25 @@ func RunSliced(cfg SlicedConfig) (*SlicedResult, error) {
 // allocation-free. The result aliases arena memory and is valid only
 // until the Runtime's next sliced run.
 func (rt *Runtime) RunSliced(cfg SlicedConfig) (*SlicedResult, error) {
-	tr := cfg.Tracer
-	var t0, t1 time.Time
-	if tr != nil {
-		t0 = time.Now()
-	}
+	tr := startTrace(cfg.Tracer, obs.EngineSliced)
 	if rt.sl == nil {
 		rt.sl = &slicedState{}
 	}
 	if err := rt.sl.reset(cfg); err != nil {
 		rt.sl.detach()
-		if tr != nil {
-			tr.RunDone(obs.EngineSliced, obs.OutcomeError, 0, time.Since(t0))
-		}
+		tr.fail()
 		return nil, err
 	}
-	if tr != nil {
-		t1 = time.Now()
-		tr.StageDuration(obs.StageSetup, t1.Sub(t0))
-	}
+	tr.setupDone()
 	res, err := rt.sl.run()
 	rt.sl.detach()
-	if tr != nil {
-		now := time.Now()
-		tr.StageDuration(obs.StageRounds, now.Sub(t1))
-		rounds := 0
-		if res != nil {
-			for i := range res.Lanes {
-				if r := res.Lanes[i].Metrics.Rounds; r > rounds {
-					rounds = r
-				}
-			}
+	rounds := 0
+	if res != nil {
+		for i := range res.Lanes {
+			rounds = max(rounds, res.Lanes[i].Metrics.Rounds)
 		}
-		tr.RunDone(obs.EngineSliced, runOutcome(err), rounds, now.Sub(t0))
 	}
+	tr.done(rounds, err)
 	return res, err
 }
 
@@ -229,31 +209,6 @@ type slicedCrash struct {
 type nodeLanes struct {
 	node  int32
 	lanes uint64
-}
-
-// slicedRing is the delay ring of the sliced engine: delayRing with
-// word messages. One reusable slot per future round, indexed modulo
-// MaxDelay+1.
-type slicedRing struct {
-	slots [][]SlicedMsg
-}
-
-func (d *slicedRing) reset() {
-	for i := range d.slots {
-		d.slots[i] = d.slots[i][:0]
-	}
-}
-
-func (d *slicedRing) push(arrival int, m SlicedMsg) {
-	i := arrival % len(d.slots)
-	d.slots[i] = append(d.slots[i], m)
-}
-
-func (d *slicedRing) take(round int) []SlicedMsg {
-	i := round % len(d.slots)
-	arrivals := d.slots[i]
-	d.slots[i] = arrivals[:0]
-	return arrivals
 }
 
 // slicedState is the sliced engine's arena: per-node lane words, the
@@ -277,7 +232,7 @@ type slicedState struct {
 	laneMaxDelay [64]int
 	filtered     uint64
 	maxDelay     int
-	ring         *slicedRing
+	ring         *delayRing[SlicedMsg]
 
 	crashes  []slicedCrash
 	crashCur int
@@ -390,15 +345,7 @@ func (s *slicedState) reset(cfg SlicedConfig) error {
 		}
 		return int(a.lane) - int(b.lane)
 	})
-	if s.maxDelay > 0 {
-		if s.ring == nil || len(s.ring.slots) != s.maxDelay+1 {
-			s.ring = &slicedRing{slots: make([][]SlicedMsg, s.maxDelay+1)}
-		} else {
-			s.ring.reset()
-		}
-	} else {
-		s.ring = nil
-	}
+	s.ring = s.ring.recycled(s.maxDelay)
 	s.delayLanes = growSlice(s.delayLanes, s.maxDelay+1)
 	s.delayBits = growSlice(s.delayBits, s.maxDelay+1)
 	clear(s.delayLanes)
