@@ -7,9 +7,9 @@ import "fmt"
 // construction provides one whose lists are recomputed on the fly from
 // (n, d, seed) in O(d) time with zero steady-state allocations —
 // instead of being stored as O(n·d) words of materialized adjacency.
-// The engines and overlays consume topologies through this interface,
-// so a simulated network of a million nodes keeps O(n) bits of state
-// plus O(d) scratch resident, not a CSR of the whole graph.
+// The expander overlays consume topologies through this interface, so
+// an implicit overlay keeps O(d) generator state plus O(d) scratch
+// resident, not a CSR of the whole graph.
 
 // Neighborhood generates sorted neighbor lists on demand. A *Graph is
 // a Neighborhood (backed by its stored adjacency); implicit
@@ -18,7 +18,7 @@ import "fmt"
 // AppendNeighbors appends v's neighbors to buf in ascending order and
 // returns the extended slice; with a caller-provided buffer of
 // capacity MaxDegree it never allocates, which is what lets the
-// engines regenerate neighborhoods every round allocation-free.
+// overlays regenerate neighborhoods every round allocation-free.
 type Neighborhood interface {
 	// N returns the number of vertices.
 	N() int

@@ -40,6 +40,8 @@ const (
 	EngineSequential Engine = iota
 	EngineParallel
 	EngineSliced
+	// EngineCast, EngineCastParallel and EngineCastSliced name no
+	// engine; they stay because bench/trace.go names EngineCastSliced.
 	EngineCast
 	EngineCastParallel
 	EngineCastSliced

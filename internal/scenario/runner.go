@@ -112,12 +112,22 @@ func Run(sp Spec) (*Report, error) {
 }
 
 // check holds Run's preconditions in the order Run reports them: a
-// positive n, a known topology family, a valid fault model, then the
-// per-problem input length. ExecuteBatch routes through it too, so a
+// positive n, non-negative t, degree and round slack, a known
+// topology family, a valid fault model, then the per-problem input
+// length. ExecuteBatch (and so RunSeeds) routes through it too, so a
 // spec Run would reject never slices and fails with Run's own error.
 func (sp Spec) check() error {
 	if sp.N <= 0 {
 		return fmt.Errorf("scenario: n=%d must be positive", sp.N)
+	}
+	if sp.T < 0 {
+		return fmt.Errorf("scenario: t=%d must be non-negative", sp.T)
+	}
+	if sp.Degree < 0 {
+		return fmt.Errorf("scenario: degree=%d must be non-negative", sp.Degree)
+	}
+	if sp.RoundSlack < 0 {
+		return fmt.Errorf("scenario: round_slack=%d must be non-negative", sp.RoundSlack)
 	}
 	if _, err := sp.topologyMode(); err != nil {
 		return err

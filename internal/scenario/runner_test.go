@@ -3,6 +3,7 @@ package scenario
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -190,18 +191,21 @@ func TestRunnerValidation(t *testing.T) {
 	}
 }
 
-// TestRoundSlackFeedsMaxRounds pins that RoundSlack reaches the
-// engine: a slack too small for the few-crashes overrun makes the run
-// fail with ErrNoTermination instead of silently changing semantics.
+// TestRoundSlackFeedsMaxRounds pins RoundSlack's domain: a negative
+// slack is a client error from Spec.check, while zero (the default)
+// and an explicit slack both run.
 func TestRoundSlackFeedsMaxRounds(t *testing.T) {
 	sp := MustLookup("consensus/few-crashes").Spec(40, 6, 1)
 	sp.RoundSlack = -1000
-	if _, err := Run(sp); err == nil {
-		// Negative slack falls back to the default; the run must
-		// succeed.
-		return
+	if _, err := Run(sp); err == nil || !strings.Contains(err.Error(), "round_slack=-1000") {
+		t.Fatalf("negative slack: err = %v, want a round_slack error", err)
 	}
-	t.Fatal("negative slack must fall back to the default slack")
+	for _, slack := range []int{0, defaultRoundSlack} {
+		sp.RoundSlack = slack
+		if _, err := Run(sp); err != nil {
+			t.Fatalf("slack %d: %v", slack, err)
+		}
+	}
 }
 
 // TestPartLabelerFlowsIntoReport asserts the per-part breakdown

@@ -177,8 +177,8 @@ func TestRunSeedsSingleSeed(t *testing.T) {
 }
 
 // TestExecuteBatchInvalidSpec: a spec that fails Run's preconditions
-// must surface Run's exact error from the batch, not a batch-specific
-// one. A spec with an Observer must run scalar: the sliced engine emits
+// must surface Run's exact error from the batch and from RunSeeds, not
+// a batch-specific one. A spec with an Observer must run scalar: the sliced engine emits
 // no per-message events, and the parallel engine refuses observers.
 func TestExecuteBatchInvalidSpec(t *testing.T) {
 	good := MustLookup("consensus/flooding").Spec(24, 4, 1)
@@ -189,7 +189,13 @@ func TestExecuteBatchInvalidSpec(t *testing.T) {
 	parallelObserver := good
 	parallelObserver.Observer = &messageCounter{}
 	parallelObserver.Exec = Parallel(2)
-	for _, bad := range []Spec{badDelay, badTopology, parallelObserver} {
+	negT := good
+	negT.T = -1
+	negDegree := good
+	negDegree.Degree = -3
+	negSlack := good
+	negSlack.RoundSlack = -3
+	for _, bad := range []Spec{badDelay, badTopology, parallelObserver, negT, negDegree, negSlack} {
 		reports, errs := ExecuteBatch([]Spec{good, bad})
 		if errs[0] != nil || reports[0] == nil {
 			t.Fatalf("good spec failed: %v", errs[0])
@@ -197,6 +203,12 @@ func TestExecuteBatchInvalidSpec(t *testing.T) {
 		_, wantErr := Run(bad)
 		if wantErr == nil || errs[1] == nil || wantErr.Error() != errs[1].Error() {
 			t.Fatalf("bad spec error diverged: scalar %v, batch %v", wantErr, errs[1])
+		}
+		_, seedErrs := RunSeeds(bad, []uint64{1, 2})
+		for i, err := range seedErrs {
+			if err == nil || err.Error() != wantErr.Error() {
+				t.Fatalf("RunSeeds lane %d error %v, want %v", i, err, wantErr)
+			}
 		}
 	}
 

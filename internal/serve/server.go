@@ -274,9 +274,10 @@ func (e *apiError) Error() string { return e.message }
 
 // classify maps an error onto its HTTP shape. Validation errors — the
 // public "lineartime:" prefix, plus the scenario layer's own prefix
-// (rebranded, matching the root API) and the topology constructors'
-// "consensus:" prefix — are the client's fault (400). A full queue is
-// backpressure (429). Anything else is the server's fault (500).
+// (rebranded, matching the root API) and the protocol constructors'
+// "consensus:" and "byzantine:" size checks (prefixed "lineartime:")
+// — are the client's fault (400). A full queue is backpressure (429).
+// Anything else is the server's fault (500).
 func classify(err error) *apiError {
 	var ae *apiError
 	if errors.As(err, &ae) {
@@ -289,7 +290,11 @@ func classify(err error) *apiError {
 	if rest, ok := strings.CutPrefix(msg, "scenario: "); ok {
 		msg = "lineartime: " + rest
 	}
-	if strings.HasPrefix(msg, "lineartime:") || strings.HasPrefix(msg, "consensus:") {
+	if strings.HasPrefix(msg, "consensus:") || strings.HasPrefix(msg, "byzantine:") {
+		// A protocol layer's size constraint, e.g. 5t ≤ n or t < n/2.
+		msg = "lineartime: " + msg
+	}
+	if strings.HasPrefix(msg, "lineartime:") {
 		return &apiError{status: http.StatusBadRequest, code: "invalid_argument", message: msg}
 	}
 	return &apiError{status: http.StatusInternalServerError, code: "internal", message: msg}

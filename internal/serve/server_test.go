@@ -288,12 +288,33 @@ func TestRequestShapeErrors(t *testing.T) {
 		t.Fatalf("n=0 status = %d, want 400", resp.StatusCode)
 	}
 
-	// Shape errors from deeper layers (topology constraints) are still
-	// the client's fault.
-	resp = postRun(t, ts.URL, RunRequest{Scenario: "consensus/few-crashes", N: 10, T: 9})
-	body = readAll(t, resp)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), `"code":"invalid_argument"`) {
-		t.Fatalf("topology error = %d %s", resp.StatusCode, body)
+	// Shape errors from deeper layers (topology and protocol size
+	// constraints) and negative sizes are the client's fault, reported
+	// under the public prefix.
+	sizes := []struct {
+		name string
+		req  RunRequest
+		want string
+	}{
+		{"few-crashes 5t > n", RunRequest{Scenario: "consensus/few-crashes", N: 10, T: 9},
+			`{"error":{"code":"invalid_argument","message":"lineartime: consensus: need 5t ≤ n (5t=45, n=10)"}}`},
+		{"byzantine t ≥ n/2", RunRequest{Scenario: "byzantine/ab-consensus", N: 8, T: 4},
+			`{"error":{"code":"invalid_argument","message":"lineartime: byzantine: need t \u003c n/2, got t=4 n=8"}}`},
+		{"rotating-coordinator t < 0", RunRequest{Scenario: "consensus/rotating-coordinator", N: 60, T: -1},
+			`{"error":{"code":"invalid_argument","message":"lineartime: t=-1 must be non-negative"}}`},
+		{"flooding t < 0", RunRequest{Scenario: "consensus/flooding", N: 60, T: -1},
+			`{"error":{"code":"invalid_argument","message":"lineartime: t=-1 must be non-negative"}}`},
+		{"degree < 0", RunRequest{Scenario: "consensus/few-crashes", N: 60, T: 10, Degree: -3},
+			`{"error":{"code":"invalid_argument","message":"lineartime: degree=-3 must be non-negative"}}`},
+		{"round_slack < 0", RunRequest{Scenario: "consensus/few-crashes", N: 60, T: 10, RoundSlack: -3},
+			`{"error":{"code":"invalid_argument","message":"lineartime: round_slack=-3 must be non-negative"}}`},
+	}
+	for _, tc := range sizes {
+		resp = postRun(t, ts.URL, tc.req)
+		body = readAll(t, resp)
+		if resp.StatusCode != http.StatusBadRequest || string(body) != tc.want {
+			t.Fatalf("%s = %d %s, want 400 %s", tc.name, resp.StatusCode, body, tc.want)
+		}
 	}
 
 	raw, err := http.Post(ts.URL+"/v1/run", "application/json", strings.NewReader("{not json"))

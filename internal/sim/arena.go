@@ -9,20 +9,19 @@ import (
 // Runtime is a reusable run arena: the full engine state — the CSR
 // scratch workspace, the wire-plane escape table, the single-port
 // rings and their n-sized idx tables, the delay ring, the metrics
-// arrays, the arenas of the sliced and neighborcast engines, and (for
-// parallel runs) one persistent worker pool — pooled across runs. The
-// first run of a given shape grows every buffer to its peak; the
-// second and subsequent runs are steady-state allocation-free, which
-// is what makes repeated-run workloads (sweeps, replications,
-// benchmarks) cheap. A zero-ish ~1.4MB-per-run rebuild cost at n=1000
-// drops to zero.
+// arrays, the sliced engine's arena, and (for parallel runs) one
+// persistent worker pool — pooled across runs. The first run of a
+// given shape grows every buffer to its peak; the second and
+// subsequent runs are steady-state allocation-free, which is what
+// makes repeated-run workloads (sweeps, replications, benchmarks)
+// cheap. A zero-ish ~1.4MB-per-run rebuild cost at n=1000 drops to
+// zero.
 //
 // Every engine method runs the same lifecycle: reset the engine's
 // arena, run the rounds, detach the caller's objects, all inside one
-// tracer envelope (runTrace). The two parallel engines, RunParallel
-// and RunCastParallel, share the Runtime's one pool; it is rebuilt
-// only when the worker count changes. The package-level entry points
-// are these methods on a fresh Runtime.
+// tracer envelope (runTrace). RunParallel owns the Runtime's one pool;
+// it is rebuilt only when the worker count changes. The package-level
+// entry points are these methods on a fresh Runtime.
 //
 // A Runtime is not safe for concurrent use. Results it returns alias
 // arena memory and are valid only until the next run on the same
@@ -32,17 +31,12 @@ type Runtime struct {
 	// sl holds the bit-sliced engine's arena (sliced.go), created on
 	// the first RunSliced and recycled across sliced runs.
 	sl *slicedState
-	// cs holds the neighborcast engine's arena (cast.go), created on
-	// the first RunCast/RunCastParallel and recycled across cast runs.
-	cs *castState
-	// csl holds the sliced neighborcast arena (castsliced.go).
-	csl *castSlicedState
 	// slot holds the persistent worker pool, started by the first
-	// parallel run of either engine and kept across runs (workers stay
-	// parked on their job channels between runs). The indirection
-	// exists for the finalizer: one cleanup per Runtime is registered
-	// against the slot, so replacing the pool (worker-count change)
-	// does not accumulate registrations that would pin dead pools.
+	// parallel run and kept across runs (workers stay parked on their
+	// job channels between runs). The indirection exists for the
+	// finalizer: one cleanup per Runtime is registered against the
+	// slot, so replacing the pool (worker-count change) does not
+	// accumulate registrations that would pin dead pools.
 	slot *poolSlot
 }
 

@@ -1,12 +1,12 @@
 package sim
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
 	"testing"
 	"time"
 
-	"lineartime/internal/graph"
 	"lineartime/internal/obs"
 )
 
@@ -30,12 +30,12 @@ func (l *traceLog) RunDone(e obs.Engine, o obs.Outcome, rounds int, _ time.Durat
 	l.events = append(l.events, traceEvent{done: true, engine: e, outcome: o, rounds: rounds})
 }
 
-// TestEntryPointTracerEvents pins the tracer envelope of all twelve
-// entry points — the six package-level functions and the six Runtime
-// methods: a run reports setup, then rounds, then exactly one RunDone
-// with its engine, outcome and round count; a config that fails reset
-// reports only RunDone(OutcomeError, 0); a general-engine run that does
-// not terminate ends with OutcomeNoTermination.
+// TestEntryPointTracerEvents pins the tracer envelope of all six
+// entry points — the three package-level functions and the three
+// Runtime methods: a run reports setup, then rounds, then exactly one
+// RunDone with its engine, outcome and round count; a config that
+// fails reset reports only RunDone(OutcomeError, 0); a general-engine
+// run that does not terminate ends with OutcomeNoTermination.
 func TestEntryPointTracerEvents(t *testing.T) {
 	const okRounds = 20
 
@@ -79,33 +79,6 @@ func TestEntryPointTracerEvents(t *testing.T) {
 			return rounds, nil
 		}
 	}
-	sh, err := graph.NewShift(128, 4, 0x7ace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cast := func(run func(CastConfig) (*CastResult, error)) func(obs.RunTracer, int) (int, error) {
-		return func(tr obs.RunTracer, maxRounds int) (int, error) {
-			res, err := run(CastConfig{System: newFloodCast(sh.N(), 0), Topology: sh, MaxRounds: maxRounds, Tracer: tr})
-			if err != nil {
-				return 0, err
-			}
-			return res.Rounds, nil
-		}
-	}
-	castSliced := func(run func(CastSlicedConfig) (*CastSlicedResult, error)) func(obs.RunTracer, int) (int, error) {
-		return func(tr obs.RunTracer, maxRounds int) (int, error) {
-			sys := &floodLanes{n: sh.N(), informed: make([]uint64, sh.N())}
-			for lane := 0; lane < 4; lane++ {
-				sys.informed[lane*31] |= 1 << lane
-			}
-			res, err := run(CastSlicedConfig{System: sys, Topology: sh, MaxRounds: maxRounds, Lanes: 4, Tracer: tr})
-			if err != nil {
-				return 0, err
-			}
-			return res.Rounds, nil
-		}
-	}
-
 	parallel := func(c Config) (*Result, error) { return RunParallel(c, 2) }
 	runtimeRun := func(c Config) (*Result, error) { return NewRuntime().Run(c) }
 	runtimeParallel := func(c Config) (*Result, error) {
@@ -122,24 +95,10 @@ func TestEntryPointTracerEvents(t *testing.T) {
 		{"Run", obs.EngineSequential, general(Run), stalled(Run)},
 		{"RunParallel", obs.EngineParallel, general(parallel), stalled(parallel)},
 		{"RunSliced", obs.EngineSliced, sliced(RunSliced), nil},
-		{"RunCast", obs.EngineCast, cast(RunCast), nil},
-		{"RunCastParallel", obs.EngineCastParallel,
-			cast(func(c CastConfig) (*CastResult, error) { return RunCastParallel(c, 2) }), nil},
-		{"RunCastSliced", obs.EngineCastSliced, castSliced(RunCastSliced), nil},
 		{"Runtime.Run", obs.EngineSequential, general(runtimeRun), stalled(runtimeRun)},
 		{"Runtime.RunParallel", obs.EngineParallel, general(runtimeParallel), stalled(runtimeParallel)},
 		{"Runtime.RunSliced", obs.EngineSliced,
 			sliced(func(c SlicedConfig) (*SlicedResult, error) { return NewRuntime().RunSliced(c) }), nil},
-		{"Runtime.RunCast", obs.EngineCast,
-			cast(func(c CastConfig) (*CastResult, error) { return NewRuntime().RunCast(c) }), nil},
-		{"Runtime.RunCastParallel", obs.EngineCastParallel,
-			cast(func(c CastConfig) (*CastResult, error) {
-				rt := NewRuntime()
-				defer rt.Close()
-				return rt.RunCastParallel(c, 2)
-			}), nil},
-		{"Runtime.RunCastSliced", obs.EngineCastSliced,
-			castSliced(func(c CastSlicedConfig) (*CastSlicedResult, error) { return NewRuntime().RunCastSliced(c) }), nil},
 	}
 	setup, rounds := traceEvent{stage: obs.StageSetup}, traceEvent{stage: obs.StageRounds}
 	for _, row := range rows {
@@ -182,10 +141,10 @@ func TestEntryPointTracerEvents(t *testing.T) {
 	}
 }
 
-// TestSharedPoolAlternation drives both parallel engines through one
-// Runtime at a fixed worker count: results match fresh-arena runs, the
-// alternation is allocation-free once warm (so the pool is never
-// rebuilt), a worker-count change rebuilds the single pool, and the
+// TestSharedPoolAlternation alternates RunParallel's worker count on
+// one Runtime: each count change rebuilds the single pool, results
+// match a fresh sequential arena, warm runs at one count are
+// allocation-free (so the pool is never rebuilt between them), and the
 // Runtime keeps working after Close.
 func TestSharedPoolAlternation(t *testing.T) {
 	const n, fanout, horizon, workers = 128, 4, 10, 4
@@ -197,18 +156,8 @@ func TestSharedPoolAlternation(t *testing.T) {
 		ps[i] = bs[i]
 	}
 	cfg := Config{Protocols: ps, MaxRounds: horizon + 4}
-	sh, err := graph.NewShift(n, 8, 0x5a7e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sys := newFloodCast(n, 0)
-	ccfg := CastConfig{System: sys, Topology: sh, MaxRounds: horizon}
 
 	want, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCast, err := NewRuntime().RunCast(ccfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,17 +165,12 @@ func TestSharedPoolAlternation(t *testing.T) {
 	rt := NewRuntime()
 	defer rt.Close()
 	var res *Result
-	var cres *CastResult
-	alternate := func(w int) {
+	run := func(w int) {
 		for _, b := range bs {
 			b.reset()
 		}
 		var err error
 		if res, err = rt.RunParallel(cfg, w); err != nil {
-			t.Fatal(err)
-		}
-		sys.reset(0)
-		if cres, err = rt.RunCastParallel(ccfg, w); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -235,43 +179,36 @@ func TestSharedPoolAlternation(t *testing.T) {
 		if !reflect.DeepEqual(res, want) {
 			t.Fatalf("%s: parallel result %+v, want %+v", when, res, want)
 		}
-		if *cres != *wantCast {
-			t.Fatalf("%s: cast-parallel result %+v, want %+v", when, *cres, *wantCast)
+	}
+
+	var prev *pool
+	for i, w := range []int{workers, workers - 1, workers} {
+		run(w)
+		check(fmt.Sprintf("step %d (%d workers)", i, w))
+		p := rt.slot.p
+		if p == nil || p.workers != w {
+			t.Fatalf("step %d: pool %+v after a %d-worker run", i, p, w)
 		}
-	}
-
-	// The cast engine starts the pool; the general engine must reuse it.
-	sys.reset(0)
-	if _, err := rt.RunCastParallel(ccfg, workers); err != nil {
-		t.Fatal(err)
-	}
-	if rt.slot == nil || rt.slot.p == nil || rt.slot.p.workers != workers {
-		t.Fatal("RunCastParallel did not start the Runtime's pool")
-	}
-	p := rt.slot.p
-	alternate(workers)
-	check("first alternation")
-	if rt.slot.p != p {
-		t.Fatal("RunParallel started a second pool")
-	}
-	if allocs := testing.AllocsPerRun(5, func() { alternate(workers) }); allocs != 0 {
-		t.Fatalf("warm alternation allocated %.1f times; want 0", allocs)
-	}
-	check("warm alternation")
-	if rt.slot.p != p {
-		t.Fatal("alternating engines rebuilt the pool")
-	}
-
-	alternate(workers - 1)
-	check("resized alternation")
-	if rt.slot.p == p || rt.slot.p.workers != workers-1 {
-		t.Fatalf("worker-count change kept the %d-worker pool", p.workers)
+		if p == prev {
+			t.Fatalf("step %d: worker-count change kept the %d-worker pool", i, prev.workers)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { run(w) }); allocs != 0 {
+			t.Fatalf("step %d: warm %d-worker run allocated %.1f times; want 0", i, w, allocs)
+		}
+		check(fmt.Sprintf("step %d warm", i))
+		if rt.slot.p != p {
+			t.Fatalf("step %d: warm runs rebuilt the pool", i)
+		}
+		prev = p
 	}
 
 	rt.Close()
 	if rt.slot.p != nil {
 		t.Fatal("Close left a pool in the slot")
 	}
-	alternate(workers)
+	run(workers)
 	check("after Close")
+	if rt.slot.p == nil || rt.slot.p == prev {
+		t.Fatal("run after Close did not start a fresh pool")
+	}
 }

@@ -38,8 +38,7 @@ import (
 // seam — verdict order is observable by stateful filters — and still
 // fan out send and the decode + deliver phase.
 //
-// The pool is the Runtime's one pool, shared with the parallel
-// neighborcast engine (castpool.go) and reused across runs: workers
+// The pool is the Runtime's one pool, reused across runs: workers
 // persist, blocked on their job channels, and shardScratch.prepare
 // re-sizes the per-node and per-worker buffers for the next
 // configuration.
@@ -90,14 +89,13 @@ func resolveWorkers(workers, n int) int {
 	return workers
 }
 
-// poolJob is one phase of one round, as dispatched to a worker. kind
-// is interpreted by the engine that dispatched it.
+// poolJob is one phase of one round, as dispatched to a worker.
 type poolJob struct {
 	kind  int
 	round int
 }
 
-// The general engine's phases.
+// The parallel round's phases.
 const (
 	jobSend = iota
 	jobPack
@@ -105,24 +103,18 @@ const (
 	jobDeliver
 )
 
-// shardRunner is an engine that runs one phase over one worker's
-// shard: the general engine (state) and the neighborcast engine
-// (castState). Each owns its phase switch, its shard bounds and its
-// per-worker scratch; the pool only supplies goroutines and barriers.
-type shardRunner interface {
-	runShard(w int, job poolJob)
-}
-
 // pool is the package's worker pool: a fixed set of goroutines, one
 // job channel each, barrier-synced per phase. Workers persist for the
 // pool's lifetime, parked on their job channels between phases and
-// between runs, so one pool serves any sequence of parallel runs of
-// either engine at its worker count.
+// between runs, so one pool serves any sequence of parallel runs at
+// its worker count. The engine state owns the phase switch, the shard
+// bounds and the per-worker scratch; the pool only supplies
+// goroutines and barriers.
 type pool struct {
 	workers int
-	// eng is the engine the current phase belongs to; written by the
+	// eng is the run the current phase belongs to; written by the
 	// coordinator before the job sends that publish it.
-	eng    shardRunner
+	eng    *state
 	jobs   []chan poolJob
 	phase  sync.WaitGroup
 	exited sync.WaitGroup
@@ -147,11 +139,12 @@ func (p *pool) worker(w int) {
 	}
 }
 
-// runPhase dispatches one phase of eng to every worker and waits for
-// the barrier. The job sends publish everything the coordinator wrote
-// before the phase; the WaitGroup completion gives the coordinator a
-// happens-before edge over all scratch the workers wrote.
-func (p *pool) runPhase(eng shardRunner, kind, round int) {
+// runPhase dispatches one phase of eng's round to every worker and
+// waits for the barrier. The job sends publish everything the
+// coordinator wrote before the phase; the WaitGroup completion gives
+// the coordinator a happens-before edge over all scratch the workers
+// wrote.
+func (p *pool) runPhase(eng *state, kind, round int) {
 	p.eng = eng
 	p.phase.Add(p.workers)
 	for w := 0; w < p.workers; w++ {
@@ -171,10 +164,9 @@ func (p *pool) shutdown() {
 	})
 }
 
-// shardScratch is the general engine's parallel scratch: worker w
-// owns the contiguous node shard bounds[w]..bounds[w+1]. It lives in
-// the state, so it survives pool rebuilds and runs of the other
-// engine on the same pool.
+// shardScratch is the parallel engine's scratch: worker w owns the
+// contiguous node shard bounds[w]..bounds[w+1]. It lives in the
+// state, so it survives pool rebuilds.
 type shardScratch struct {
 	workers int
 	bounds  []int
@@ -250,7 +242,8 @@ func (sh *shardScratch) scrub() {
 	}
 }
 
-// runShard is the general engine's phase switch (shardRunner).
+// runShard is the parallel round's phase switch: it runs one phase
+// over worker w's shard.
 func (s *state) runShard(w int, job poolJob) {
 	sh := &s.sh
 	lo, hi := sh.bounds[w], sh.bounds[w+1]

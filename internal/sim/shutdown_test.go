@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"testing"
 	"time"
-
-	"lineartime/internal/graph"
 )
 
 // badAt emits an invalid envelope (forged sender) at a chosen round,
@@ -32,10 +30,7 @@ func TestSequentialErrorMidRun(t *testing.T) {
 }
 
 func TestConcurrentErrorShutsDownWorkers(t *testing.T) {
-	sh, err := graph.NewShift(256, 8, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	const n, fanout, horizon = 256, 8, 3
 	before := runtime.NumGoroutine()
 	for trial := 0; trial < 5; trial++ {
 		ps := make([]Protocol, 16)
@@ -49,9 +44,13 @@ func TestConcurrentErrorShutsDownWorkers(t *testing.T) {
 		if _, err := RunParallel(Config{Protocols: ps, MaxRounds: 20}, 0); err == nil {
 			t.Fatal("invalid envelope accepted")
 		}
-		// A Runtime whose pool ran the neighborcast engine, then closed.
+		// A Runtime whose pool ran to completion, then closed.
+		ok := make([]Protocol, n)
+		for i := range ok {
+			ok[i] = &broadcaster{id: i, n: n, fanout: fanout, horizon: horizon}
+		}
 		rt := NewRuntime()
-		if _, err := rt.RunCastParallel(CastConfig{System: newFloodCast(sh.N(), 0), Topology: sh, MaxRounds: 3}, 4); err != nil {
+		if _, err := rt.RunParallel(Config{Protocols: ok, MaxRounds: horizon + 4}, 4); err != nil {
 			t.Fatal(err)
 		}
 		rt.Close()

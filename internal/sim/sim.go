@@ -27,13 +27,12 @@
 // allocation-free end to end. See EXPERIMENTS.md for the benchmark
 // harness that tracks this.
 //
-// Six engines run the round: sequential, parallel, sliced, cast,
-// cast-parallel and cast-sliced. All of them are Runtime methods with
-// one lifecycle — reset, rounds, detach — inside one tracer envelope
-// (trace.go), and the two parallel engines share the Runtime's one
-// worker pool (pool.go). The package-level Run, RunParallel,
-// RunSliced, RunCast, RunCastParallel and RunCastSliced are those
-// methods on a fresh Runtime, so they honour Config.Tracer too.
+// Three engines run the round: sequential, parallel and sliced. All
+// of them are Runtime methods with one lifecycle — reset, rounds,
+// detach — inside one tracer envelope (trace.go), and the parallel
+// engine runs on the Runtime's one worker pool (pool.go). The
+// package-level Run, RunParallel and RunSliced are those methods on a
+// fresh Runtime, so they honour Config.Tracer too.
 package sim
 
 import (
